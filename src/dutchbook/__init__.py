@@ -12,7 +12,6 @@ predictive state off the reflection principle.
 from .beliefs import (
     BeliefState,
     Event,
-    Gamble,
     OutcomeSpace,
     SpaceMismatchError,
     UndefinedConditionalError,
@@ -25,18 +24,13 @@ from .diachronic import (
     ReflectionViolationError,
     StrategyNotAdoptedError,
     TemporalModel,
-    Ticket,
-    TimedLeg,
-    TimedPortfolio,
     UndefinedUpdateError,
     Violation,
     build_reflection_dutch_book,
     conditioning_strategy_check,
     goldstein_expectation,
     jeffrey_update,
-    realize,
     reflection_check,
-    solidarity_check,
 )
 from .exchangeable import (
     MAX_PI_BITS,
@@ -100,19 +94,18 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # beliefs
-    "OutcomeSpace", "Event", "Gamble", "BeliefState", "as_fraction",
+    "OutcomeSpace", "Event", "BeliefState", "as_fraction",
     "SpaceMismatchError", "UndefinedConditionalError",
     # synchronic
     "Assessment", "PriceBook", "Portfolio", "PortfolioLeg",
     "FarkasCertificate", "CoherenceResult", "CoherentBookError",
     "check_coherence", "build_dutch_book", "settle",
     # diachronic
-    "TemporalModel", "Violation", "Ticket", "TimedLeg", "TimedPortfolio",
-    "ConditioningResult", "PositivityError", "NoViolationError",
-    "ReflectionViolationError", "StrategyNotAdoptedError",
+    "TemporalModel", "Violation", "ConditioningResult", "PositivityError",
+    "NoViolationError", "ReflectionViolationError", "StrategyNotAdoptedError",
     "UndefinedUpdateError", "reflection_check", "goldstein_expectation",
-    "build_reflection_dutch_book", "realize", "conditioning_strategy_check",
-    "solidarity_check", "jeffrey_update",
+    "build_reflection_dutch_book", "conditioning_strategy_check",
+    "jeffrey_update",
     # exchangeable
     "MixingDensity", "BetaComponent", "BitString", "ScenarioReport",
     "MAX_PI_BITS", "prior_predictive", "posterior", "predictive_next",

@@ -1,4 +1,4 @@
-"""Finite outcome spaces, events, gambles, and exact belief states.
+"""Finite outcome spaces, events, and exact belief states.
 
 Everything here is exact: probabilities and payoffs are `fractions.Fraction`
 values, so audit verdicts built on top of this module are tolerance-free.
@@ -7,24 +7,33 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "MAX_ATOMS",
+    "MAX_EXACT_CHARS",
+    "MAX_EXPONENT",
     "Rational",
     "SpaceMismatchError",
     "UndefinedConditionalError",
     "as_fraction",
     "OutcomeSpace",
     "Event",
-    "Gamble",
     "BeliefState",
 ]
 
 #: Audit problems are desk scale; spaces beyond this are rejected.
 MAX_ATOMS = 1 << 16
+#: Longest exact string `as_fraction` parses, and the largest decimal
+#: exponent it admits.  Together they keep every parsed value well under
+#: Python's int-to-str digit limit and keep the parse itself cheap.
+MAX_EXACT_CHARS = 1000
+MAX_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
 
 Rational = Union[Fraction, int, str]
 
@@ -41,15 +50,23 @@ def as_fraction(value: Rational) -> Fraction:
     """Parse a rational exactly.
 
     Accepts Fraction, int, or a string in "p/q" or decimal form ("3/5",
-    "0.6").  Floats are rejected: binary floats rarely equal the decimal
-    the caller had in mind, and exactness is the whole point.
+    "0.6").  Floats and bools are rejected: binary floats rarely equal the
+    decimal the caller had in mind, and exactness is the whole point.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        if len(value) > MAX_EXACT_CHARS:
+            raise ValueError(f"exact string longer than {MAX_EXACT_CHARS} characters")
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond +-{MAX_EXPONENT}")
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value.strip()!r}") from None
     raise TypeError(
         f"expected Fraction, int, or exact string, got {type(value).__name__}"
     )
@@ -128,40 +145,8 @@ class Event:
     def __contains__(self, atom: int) -> bool:
         return atom in self.members
 
-    def indicator(self) -> Gamble:
-        """Gamble paying $1 on the event's atoms and $0 elsewhere."""
-        one, zero = Fraction(1), Fraction(0)
-        return Gamble(self.space, tuple(one if i in self.members else zero
-                                        for i in range(self.space.size)))
-
     def labels(self) -> tuple[str, ...]:
         return tuple(self.space.atoms[i] for i in sorted(self.members))
-
-
-@dataclass(frozen=True)
-class Gamble:
-    """A payoff in currency units attached to every atom."""
-
-    space: OutcomeSpace
-    payoffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        payoffs = tuple(as_fraction(p) for p in self.payoffs)
-        if len(payoffs) != self.space.size:
-            raise ValueError("payoff must be defined on every atom")
-        object.__setattr__(self, "payoffs", payoffs)
-
-    @classmethod
-    def from_map(cls, space: OutcomeSpace, payoff: Mapping[str, Rational]) -> Gamble:
-        missing = set(space.atoms) - set(payoff)
-        if missing:
-            raise ValueError(f"payoff missing for atoms {sorted(missing)}")
-        return cls(space, tuple(as_fraction(payoff[a]) for a in space.atoms))
-
-    @classmethod
-    def constant(cls, space: OutcomeSpace, value: Rational) -> Gamble:
-        v = as_fraction(value)
-        return cls(space, (v,) * space.size)
 
 
 @dataclass(frozen=True)
@@ -204,8 +189,3 @@ class BeliefState:
                 "conditional probability undefined: condition has probability 0"
             )
         return self.prob(e & d) / pd
-
-    def expectation(self, g: Gamble) -> Fraction:
-        """Fair price of the gamble: the pmf-weighted payoff sum."""
-        _check_same_space(self, g)
-        return sum((p * x for p, x in zip(self.pmf, g.payoffs)), Fraction(0))

@@ -17,14 +17,12 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .beliefs import BeliefState
+from .beliefs import BeliefState, Event
 from .diachronic import (
     StrategyNotAdoptedError,
     TemporalModel,
-    TimedPortfolio,
     build_reflection_dutch_book,
     conditioning_strategy_check,
-    realize,
     reflection_check,
 )
 from .exchangeable import BitString, pi_fractional_bits, scenario_report
@@ -37,13 +35,20 @@ from .formats import (
 )
 from .quantum import (
     QuantumError,
+    ZeroProbabilityOutcomeError,
     decohered_state,
     first_outcome_probs,
     outcome_probs,
     post_state,
     reflection_prob,
 )
-from .synchronic import PriceBook, build_dutch_book, check_coherence, settle
+from .synchronic import (
+    Portfolio,
+    PriceBook,
+    build_dutch_book,
+    check_coherence,
+    settle,
+)
 
 __all__ = ["main"]
 
@@ -105,6 +110,11 @@ def _witness_rows(witness: BeliefState) -> dict[str, str]:
             for label, mass in zip(witness.space.atoms, witness.pmf)}
 
 
+def _losses(portfolio: Portfolio) -> dict[str, str]:
+    return {label: str(settle(portfolio, label))
+            for label in portfolio.book.space.atoms}
+
+
 def _synchronic_audit(book: PriceBook) -> tuple[int, dict, str]:
     result = check_coherence(book)
     lines = []
@@ -132,8 +142,7 @@ def _synchronic_audit(book: PriceBook) -> tuple[int, dict, str]:
         }
         for leg in portfolio.legs
     ]
-    losses = {label: str(settle(portfolio, book, label))
-              for label in book.space.atoms}
+    losses = _losses(portfolio)
     report = {
         "kind": "synchronic-audit",
         "verdict": "incoherent",
@@ -152,26 +161,30 @@ def _synchronic_audit(book: PriceBook) -> tuple[int, dict, str]:
     return INCOHERENT, report, "\n".join(lines) + "\n"
 
 
-def _portfolio_rows(portfolio: TimedPortfolio) -> list[dict]:
-    return [
-        {
-            "time": leg.time,
-            "trigger": leg.trigger,
-            "direction": leg.direction,
-            "ticket": leg.ticket.description,
-            "price": str(leg.price),
-        }
-        for leg in portfolio.legs
-    ]
+def _branch_name(event: Event) -> str:
+    # On a branch space ("Q&E", "Q&~E", ...) an event is named by the
+    # conjunct all of its atoms share: {Q&E, ~Q&E} is "E".
+    return set.intersection(*(set(a.split("&")) for a in event.labels())).pop()
 
 
-def _branch_losses(portfolio: TimedPortfolio, label: str) -> dict[str, str]:
-    return {
-        f"{'' if cond else '~'}{label}&{'' if e else '~'}E":
-            str(realize(portfolio, cond, e))
-        for cond in (True, False)
-        for e in (True, False)
-    }
+def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
+    rows = []
+    for leg in portfolio.legs:
+        a = portfolio.book.assessments[leg.assessment]
+        event, stake = _branch_name(a.event), leg.quantity
+        cond = _branch_name(a.condition) if a.is_conditional else None
+        # A t_tau trade only happens once its condition is true, so its
+        # ticket is shown plain and the condition becomes the trigger.
+        trigger = f"if-{cond}-true" if leg.time == "t_tau" else "always"
+        if cond is None or leg.time == "t_tau":
+            ticket = f"pays ${stake} if {event}"
+        else:
+            ticket = (f"pays ${stake} if {cond} and {event}, "
+                      f"refunds ${stake * a.price} if not {cond}")
+        rows.append({"time": leg.time, "trigger": trigger,
+                     "direction": leg.direction, "ticket": ticket,
+                     "price": str(stake * a.price)})
+    return rows
 
 
 def _portfolio_lines(rows: list[dict], losses: dict[str, str]) -> list[str]:
@@ -203,15 +216,10 @@ def _temporal_audit(model: TemporalModel,
         }
         strategy_book = outcome.portfolio
 
-    portfolio = None
-    label = model.condition_label
-    if violations:
-        portfolio = build_reflection_dutch_book(model, violations[0].q)
-    elif strategy_book is not None:
-        portfolio, label = strategy_book, "D"
-
+    portfolio = (build_reflection_dutch_book(model, violations[0].q)
+                 if violations else strategy_book)
     rows = _portfolio_rows(portfolio) if portfolio else None
-    losses = _branch_losses(portfolio, label) if portfolio else None
+    losses = _losses(portfolio) if portfolio else None
     verdict = "incoherent" if portfolio else "coherent"
     report = {
         "kind": "temporal-audit",
@@ -334,14 +342,14 @@ def _cmd_demo_quantum(args) -> tuple[int, dict, str]:
     p0 = first_outcome_probs(sc.instrument, sc.rho0)
     posts = []
     posteriors = []
-    for i, p in enumerate(p0):
-        if p > 1e-12:
+    for i in range(len(p0)):
+        try:
             rho_tau = post_state(sc.instrument, i, sc.rho0)
-            posts.append(rho_tau)
-            posteriors.append(outcome_probs(sc.povm, rho_tau))
-        else:
-            posts.append(None)
-            posteriors.append(None)
+        except ZeroProbabilityOutcomeError:
+            rho_tau = None
+        posts.append(rho_tau)
+        posteriors.append(None if rho_tau is None
+                          else outcome_probs(sc.povm, rho_tau))
     refl = reflection_prob(sc.instrument, sc.povm, sc.rho0)
     direct = outcome_probs(sc.povm, sc.rho0)
     rho_dec = decohered_state(sc.instrument, sc.rho0)

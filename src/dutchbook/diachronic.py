@@ -7,10 +7,10 @@ revealed at t=tau.  The tools here:
 
 * detect violations of the constraint P0(E | Ptau(E)=q) = q;
 * build the canonical three-transaction sure-loss portfolio against any
-  violation, with cash legs at both times;
+  violation: a price book on the four (condition, E) branches whose last
+  leg is a trade committed for t=tau, settled by `synchronic.settle`;
 * recover strict conditionalization as the special case where one event D
   determines the future value with certainty;
-* run the same machinery for two agents sharing liability (solidarity);
 * apply partition-based (Jeffrey) updates to a belief state.
 
 Money at the two times trades at par: a zero interest rate is hard-coded.
@@ -30,6 +30,7 @@ from .beliefs import (
     Rational,
     as_fraction,
 )
+from .synchronic import Assessment, Portfolio, PortfolioLeg, PriceBook
 
 __all__ = [
     "PositivityError",
@@ -38,17 +39,12 @@ __all__ = [
     "StrategyNotAdoptedError",
     "UndefinedUpdateError",
     "Violation",
-    "Ticket",
-    "TimedLeg",
-    "TimedPortfolio",
     "TemporalModel",
     "reflection_check",
     "goldstein_expectation",
     "build_reflection_dutch_book",
-    "realize",
     "ConditioningResult",
     "conditioning_strategy_check",
-    "solidarity_check",
     "jeffrey_update",
 ]
 
@@ -174,61 +170,6 @@ class TemporalModel:
         return self.joint.prob(self.value_event(i))
 
 
-@dataclass(frozen=True)
-class Ticket:
-    """A lottery ticket's settlement payout per (condition, E) branch."""
-
-    description: str
-    payouts: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-    def payout(self, cond_true: bool, e_true: bool) -> Fraction:
-        return self.payouts[int(cond_true)][int(e_true)]
-
-
-def _unit_ticket_on_e() -> Ticket:
-    return Ticket("pays $1 if E", ((_ZERO, _ONE), (_ZERO, _ONE)))
-
-
-def _called_off_ticket(price: Fraction, label: str) -> Ticket:
-    return Ticket(
-        f"pays $1 if {label} and E, refunds ${price} if not {label}",
-        ((price, price), (_ZERO, _ONE)),
-    )
-
-
-def _condition_stake_ticket(stake: Fraction, label: str) -> Ticket:
-    return Ticket(f"pays ${stake} if {label}", ((_ZERO, _ZERO), (stake, stake)))
-
-
-@dataclass(frozen=True)
-class TimedLeg:
-    time: str      # "t0" | "t_tau"
-    trigger: str   # "always" | "if-<label>-true"
-    direction: str
-    ticket: Ticket
-    price: Fraction
-
-    def __post_init__(self):
-        if self.time not in ("t0", "t_tau"):
-            raise ValueError(f"unknown time {self.time!r}")
-        if self.direction not in ("buy", "sell"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.time == "t_tau" and self.trigger == "always":
-            raise ValueError("t_tau legs must carry a trigger")
-        object.__setattr__(self, "price", as_fraction(self.price))
-
-
-@dataclass(frozen=True)
-class TimedPortfolio:
-    """Transactions tagged with execution time and trigger condition."""
-
-    legs: tuple[TimedLeg, ...]
-    condition_label: str = "Q"
-
-    def __post_init__(self):
-        object.__setattr__(self, "legs", tuple(self.legs))
-
-
 def reflection_check(m: TemporalModel) -> list[Violation]:
     """Report every positive-mass value cell whose conditional misses it.
 
@@ -271,42 +212,44 @@ def _three_leg_book(
     cond_value: Fraction,
     declared: Fraction,
     label: str,
-) -> TimedPortfolio:
+) -> Portfolio:
     """The canonical sure-loss construction against one condition cell.
 
-    `cond_value` is the t=0 conditional of E given the cell, `declared` the
-    price the agent is sure to trade at t=tau once the cell is true.  For a
-    positive gap: buy the called-off ticket, buy the side bet, sell at
-    t=tau; a negative gap mirrors the outer legs and keeps the side bet.
+    The book lives on the branches ``label&E``, ``label&~E``, ``~label&E``
+    and ``~label&~E``.  `cond_value` is the t=0 conditional of E given the
+    cell, `declared` the price the agent is sure to trade at t=tau once the
+    cell is true.  For a positive gap: buy the called-off ticket, buy the
+    side bet, sell at t=tau; a negative gap mirrors the outer legs and
+    keeps the side bet.
     """
+    space = OutcomeSpace([f"{c}{label}&{e}E" for c in ("", "~") for e in ("", "~")])
+    cond = space.event([f"{label}&E", f"{label}&~E"])
+    e = space.event([f"{label}&E", f"~{label}&E"])
+    book = PriceBook(space, (
+        Assessment(e, cond_value, cond),
+        Assessment(cond, cond_mass),
+        Assessment(e, declared, cond),
+    ))
     gap = cond_value - declared
-    d = abs(gap)
-    trigger = f"if-{label}-true"
-    side_stake = d * _HALF
-    legs = (
-        TimedLeg(
-            "t0", "always", "buy" if gap > 0 else "sell",
-            _called_off_ticket(cond_value, label), cond_value,
-        ),
-        TimedLeg(
-            "t0", "always", "buy",
-            _condition_stake_ticket(side_stake, label), cond_mass * side_stake,
-        ),
-        TimedLeg(
-            "t_tau", trigger, "sell" if gap > 0 else "buy",
-            _unit_ticket_on_e(), declared,
-        ),
-    )
-    return TimedPortfolio(legs, label)
+    outer, inner = ("buy", "sell") if gap > 0 else ("sell", "buy")
+    return Portfolio(book, (
+        PortfolioLeg(0, outer, _ONE),
+        PortfolioLeg(1, "buy", abs(gap) * _HALF),
+        PortfolioLeg(2, inner, _ONE, "t_tau"),
+    ))
 
 
-def build_reflection_dutch_book(m: TemporalModel, q: Rational) -> TimedPortfolio:
+def build_reflection_dutch_book(m: TemporalModel, q: Rational) -> Portfolio:
     """Sure-loss transactions against a positive-mass cell missing its value.
 
-    Three legs: a called-off ticket on E given the cell, a side bet on the
-    cell at half the gap, and a pre-committed t=tau trade on E at the
-    announced value.  Realizes strictly negative on all four branches:
-    -(mass+1)*|gap|/2 when the cell is true, -mass*|gap|/2 when false.
+    The portfolio trades on a four-atom book over the branches (cell true
+    or not) x (E true or not), named ``Q&E`` ... ``~Q&~E`` after the model's
+    condition label.  Three legs: a called-off ticket on E given the cell
+    at the t=0 conditional, a bet on the cell of stake |gap|/2 at its mass,
+    and a t=tau trade on E, called off unless the cell is true, at the
+    announced value.  `synchronic.settle` gives strictly negative cash on
+    all four branches: -(mass+1)*|gap|/2 when the cell is true,
+    -mass*|gap|/2 when false.
     """
     q = as_fraction(q)
     try:
@@ -322,29 +265,13 @@ def build_reflection_dutch_book(m: TemporalModel, q: Rational) -> TimedPortfolio
     return _three_leg_book(mass, cond, q, m.condition_label)
 
 
-def realize(p: TimedPortfolio, cond_true: bool, e_true: bool) -> Fraction:
-    """Net cash to the agent on one (condition, E) branch.
-
-    Triggered legs execute only on branches where the condition is true;
-    refunds are part of the ticket payouts, so the sum is a plain
-    price-versus-payout ledger.
-    """
-    total = _ZERO
-    for leg in p.legs:
-        if leg.trigger != "always" and not cond_true:
-            continue
-        net = leg.ticket.payout(cond_true, e_true) - leg.price
-        total += net if leg.direction == "buy" else -net
-    return total
-
-
 @dataclass(frozen=True)
 class ConditioningResult:
     """Outcome of auditing an adopted learn-D-then-set-q strategy."""
 
     forced_q: Fraction
     declared_q: Fraction
-    portfolio: TimedPortfolio | None
+    portfolio: Portfolio | None
 
     @property
     def coherent(self) -> bool:
@@ -387,16 +314,6 @@ def conditioning_strategy_check(
         return ConditioningResult(forced, adopted, None)
     book = _three_leg_book(d_mass, forced, adopted, "D")
     return ConditioningResult(forced, adopted, book)
-
-
-def solidarity_check(m: TemporalModel) -> list[Violation]:
-    """Reflection run across two agents sharing liability.
-
-    Reinterpret each cell as "the other account holder's value for E is q";
-    a violation exposes the shared account to the same three-leg sure loss,
-    with transactions split between the two signatories.
-    """
-    return reflection_check(m)
 
 
 def jeffrey_update(

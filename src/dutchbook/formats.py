@@ -37,19 +37,12 @@ __all__ = [
     "load_quantum_file",
     "matrix_to_pairs",
     "matrix_from_pairs",
-    "fraction_str",
     "render_structured",
-    "parse_structured",
 ]
 
 
 class AuditFileError(ValueError):
     """A malformed input file; the message names the offending field."""
-
-
-def fraction_str(value: Fraction) -> str:
-    """Exact serialization: "7/50", or "1" for whole numbers."""
-    return str(value)
 
 
 def _fail(field: str, problem: str):
@@ -108,8 +101,11 @@ def _parse_book(data: dict, field: str) -> PriceBook:
     except ValueError as exc:
         raise AuditFileError(f"{field}.atoms: {exc}") from None
 
+    events = data.get("events") or {}
+    if not isinstance(events, dict):
+        _fail(f"{field}.events", "expected an object of named atom-label lists")
     named: dict[str, Event] = {}
-    for name, labels in (data.get("events") or {}).items():
+    for name, labels in events.items():
         if not isinstance(labels, list):
             _fail(f"{field}.events.{name}", "expected a list of atom labels")
         try:
@@ -198,15 +194,23 @@ def parse_audit_document(data: Any) -> AuditDocument:
     return AuditDocument(book, temporal, declared_q)
 
 
-def load_audit_file(path: str) -> AuditDocument:
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _load_json(path: str) -> Any:
+    """Read one JSON document; NaN and Infinity tokens are refused."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise AuditFileError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise AuditFileError(f"{path}: not valid JSON ({exc})") from None
-    return parse_audit_document(data)
+
+
+def load_audit_file(path: str) -> AuditDocument:
+    return parse_audit_document(_load_json(path))
 
 
 def matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
@@ -220,7 +224,8 @@ def matrix_from_pairs(pairs: Any, dim: int, field: str) -> np.ndarray:
     values = []
     for i, pair in enumerate(pairs):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in pair)):
             _fail(f"{field}[{i}]", "expected an [re, im] pair of numbers")
         values.append(complex(pair[0], pair[1]))
     return np.array(values, dtype=complex).reshape(dim, dim)
@@ -281,24 +286,12 @@ def parse_quantum_scenario(data: Any) -> QuantumScenario:
 
 
 def load_quantum_file(path: str) -> QuantumScenario:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise AuditFileError(f"{path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise AuditFileError(f"{path}: not valid JSON ({exc})") from None
-    return parse_quantum_scenario(data)
+    return parse_quantum_scenario(_load_json(path))
 
 
 def render_structured(report: dict) -> str:
     """Canonical rendering: sorted keys, indent 2, trailing newline.
 
-    parse_structured . render_structured is the identity on its output,
-    byte for byte.
+    Rendering the `json.loads` of its output reproduces it byte for byte.
     """
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def parse_structured(text: str) -> dict:
-    return json.loads(text)

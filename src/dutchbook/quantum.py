@@ -93,6 +93,8 @@ def _as_square(matrix, what: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has a non-finite entry")
     return m
 
 

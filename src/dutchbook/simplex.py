@@ -4,7 +4,8 @@ Decides whether ``{x >= 0 : A x = b}`` is nonempty using a phase-1 simplex
 over `fractions.Fraction` with Bland's anti-cycling rule.  On success it
 returns a basic feasible point; on failure it returns a Farkas vector ``y``
 with ``y . A_j <= 0`` for every column j and ``y . b > 0``, which is the raw
-material for an explicit sure-loss portfolio.
+material for an explicit sure-loss portfolio.  Either result is checked
+against the system before it is returned.
 
 No tolerances anywhere: every comparison is an exact rational comparison.
 """
@@ -94,6 +95,7 @@ def solve_equality_feasibility(
         for i, var in enumerate(basis):
             if var < n:
                 solution[var] = tab[i][width]
+        _check_solution(rows, rhs, solution)
         return Feasibility(True, tuple(solution), None)
 
     # Infeasible: the phase-1 dual is read off the artificial columns.
@@ -126,3 +128,14 @@ def _check_certificate(rows, rhs, y) -> None:
             raise RuntimeError("invalid Farkas certificate (column positivity)")
     if sum(y[i] * rhs[i] for i in range(len(rows))) <= 0:
         raise RuntimeError("invalid Farkas certificate (rhs sign)")
+
+
+def _check_solution(rows, rhs, x) -> None:
+    # Like the Farkas check: a point that misses A x = b, x >= 0 means a
+    # tableau bug.  Only the support is summed, so wide books stay cheap.
+    support = [(j, v) for j, v in enumerate(x) if v]
+    if any(v < 0 for _, v in support):
+        raise RuntimeError("invalid solution (negative entry)")
+    for row, b in zip(rows, rhs):
+        if sum((row[j] * v for j, v in support), _ZERO) != b:
+            raise RuntimeError("invalid solution (row not met)")

@@ -5,7 +5,7 @@ measure reproduces every price.  The audit solves that question as an exact
 linear feasibility problem over the atoms; an infeasible book yields a
 Farkas certificate whose sign pattern is an explicit sure-loss portfolio.
 
-Ticket conventions (the $1 stake is the unit):
+Conventions for tickets (the $1 stake is the unit):
 
 * unconditional ticket on E at price p: pays $1 if E, costs $p;
 * called-off ticket on E given D at price q: pays $1 if E and D, refunds
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .beliefs import (
     BeliefState,
@@ -107,10 +106,13 @@ class PortfolioLeg:
     assessment: int
     direction: str  # "buy" | "sell", from the audited agent's side
     quantity: Fraction
+    time: str = "t0"  # "t0" | "t_tau": when the agent makes the trade
 
     def __post_init__(self):
         if self.direction not in ("buy", "sell"):
             raise ValueError(f"direction must be buy or sell, got {self.direction!r}")
+        if self.time not in ("t0", "t_tau"):
+            raise ValueError(f"time must be t0 or t_tau, got {self.time!r}")
         object.__setattr__(self, "quantity", as_fraction(self.quantity))
         if self.quantity <= 0:
             raise ValueError("leg quantity must be positive")
@@ -118,12 +120,20 @@ class PortfolioLeg:
 
 @dataclass(frozen=True)
 class Portfolio:
-    """Buy/sell combination of a book's tickets; net payoff computable per atom."""
+    """Buy/sell combination of one book's tickets; net payoff computable per atom."""
 
+    book: PriceBook
     legs: tuple[PortfolioLeg, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "legs", tuple(self.legs))
+        assessments = self.book.assessments
+        for leg in self.legs:
+            if not 0 <= leg.assessment < len(assessments):
+                raise ValueError("leg refers to an assessment outside the book")
+            # Settlement reads "no trade" off the condition of a t_tau leg.
+            if leg.time == "t_tau" and not assessments[leg.assessment].is_conditional:
+                raise ValueError("a t_tau leg must trade a called-off ticket")
 
 
 @dataclass(frozen=True)
@@ -204,11 +214,19 @@ def build_dutch_book(
         for i, q in enumerate(quantities)
         if q != 0
     ]
-    return Portfolio(tuple(legs))
+    return Portfolio(book, tuple(legs))
 
 
-def settle(portfolio: Portfolio, book: PriceBook, atom: int | str) -> Fraction:
-    """Exact net cash to the agent if `atom` is the true world."""
+def settle(portfolio: Portfolio, atom: int | str) -> Fraction:
+    """Exact net cash to the agent if `atom` is the true world.
+
+    One ledger settles synchronic and diachronic books alike.  A ``t_tau``
+    leg is a trade the agent is committed to at the later time, on a
+    ticket called off unless its condition holds: off the condition it
+    nets zero, exactly as the trade that never happens.  Money at the two
+    times trades at par.
+    """
+    book = portfolio.book
     if isinstance(atom, str):
         atom = book.space.index(atom)
     if not 0 <= atom < book.space.size:

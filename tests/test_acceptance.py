@@ -19,7 +19,6 @@ from dutchbook.diachronic import (
     TemporalModel,
     build_reflection_dutch_book,
     goldstein_expectation,
-    realize,
 )
 from dutchbook.exchangeable import (
     BitString,
@@ -84,11 +83,11 @@ def test_criterion_01(capsys):
                 masses=(F(2, 5), F(3, 5)),
                 e_given_q=(F(7, 10), F(1, 4)),
             )
-            book = build_reflection_dutch_book(model, F(1, 2))
-            assert realize(book, True, True) == F(-7, 50)
-            assert realize(book, True, False) == F(-7, 50)
-            assert realize(book, False, True) == F(-1, 25)
-            assert realize(book, False, False) == F(-1, 25)
+            portfolio = build_reflection_dutch_book(model, F(1, 2))
+            assert settle(portfolio, "Q&E") == F(-7, 50)
+            assert settle(portfolio, "Q&~E") == F(-7, 50)
+            assert settle(portfolio, "~Q&E") == F(-1, 25)
+            assert settle(portfolio, "~Q&~E") == F(-1, 25)
 
         assert _best_of(workload) < 1e-3
 
@@ -110,10 +109,9 @@ def test_criterion_02(capsys, seed):
                 masses=(mass, 1 - mass),
                 e_given_q=(conditional, other),
             )
-            book = build_reflection_dutch_book(model, declared)
-            for cond_true in (True, False):
-                for e_true in (True, False):
-                    assert realize(book, cond_true, e_true) < 0
+            portfolio = build_reflection_dutch_book(model, declared)
+            for branch in portfolio.book.space.atoms:
+                assert settle(portfolio, branch) < 0
         assert time.perf_counter() - start < 5.0
 
 
@@ -184,7 +182,7 @@ def _verify_verdict(book):
         return
     portfolio = build_dutch_book(book, result.certificate)
     for atom in book.space.atoms:
-        assert settle(portfolio, book, atom) < 0
+        assert settle(portfolio, atom) < 0
 
 
 def test_criterion_04(capsys, seed):

@@ -1,4 +1,4 @@
-"""Exact substrate: spaces, events, gambles, belief states."""
+"""Exact substrate: spaces, events, belief states."""
 
 from fractions import Fraction as F
 
@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from dutchbook.beliefs import (
     MAX_ATOMS,
+    MAX_EXACT_CHARS,
+    MAX_EXPONENT,
     BeliefState,
     Event,
-    Gamble,
     OutcomeSpace,
     SpaceMismatchError,
     UndefinedConditionalError,
@@ -29,6 +30,20 @@ def test_as_fraction_accepts_exact_forms():
 def test_as_fraction_rejects_floats():
     with pytest.raises(TypeError):
         as_fraction(0.6)
+
+
+def test_as_fraction_boundary():
+    with pytest.raises(TypeError):  # bool is an int subclass, not a number here
+        as_fraction(True)
+    with pytest.raises(ValueError):  # not ZeroDivisionError
+        as_fraction("1/0")
+    assert as_fraction(f"1e-{MAX_EXPONENT}") == F(1, 10 ** MAX_EXPONENT)
+    with pytest.raises(ValueError):
+        as_fraction(f"1e-{MAX_EXPONENT + 1}")
+    with pytest.raises(ValueError):  # underscores do not hide the exponent
+        as_fraction("1e2_0000")
+    with pytest.raises(ValueError):
+        as_fraction("1" * (MAX_EXACT_CHARS + 1))
 
 
 def test_space_requires_unique_labels():
@@ -97,25 +112,6 @@ def test_cond_prob_on_null_condition_is_undefined():
         b.cond_prob(space.event(["a"]), space.event(["b"]))
 
 
-def test_expectation_examples():
-    space = OutcomeSpace(["a", "b"])
-    b = BeliefState.uniform(space)
-    e = space.event(["a"])
-    assert b.expectation(e.indicator()) == b.prob(e)
-    assert b.expectation(Gamble.constant(space, "3/7")) == F(3, 7)
-    assert b.expectation(Gamble(space, (F(2), F(-1)))) == F(1, 2)
-
-
-def test_gamble_must_cover_every_atom():
-    space = OutcomeSpace(["a", "b"])
-    with pytest.raises(ValueError):
-        Gamble(space, (F(1),))
-    with pytest.raises(ValueError):
-        Gamble.from_map(space, {"a": 1})
-    g = Gamble.from_map(space, {"a": "1/2", "b": 0})
-    assert g.payoffs == (F(1, 2), F(0))
-
-
 def test_belief_state_validation():
     space = OutcomeSpace(["a", "b"])
     with pytest.raises(ValueError):
@@ -127,11 +123,11 @@ def test_belief_state_validation():
     BeliefState.from_map(space, {"a": "1/3", "b": "2/3"})
 
 
-def test_expectation_space_mismatch():
+def test_space_mismatch():
     s1 = OutcomeSpace(["a", "b"])
     s2 = OutcomeSpace(["a", "c"])
     with pytest.raises(SpaceMismatchError):
-        BeliefState.uniform(s1).expectation(Gamble.constant(s2, 1))
+        BeliefState.uniform(s1).cond_prob(s1.event(["a"]), s2.event(["a"]))
     with pytest.raises(SpaceMismatchError):
         BeliefState.uniform(s1).prob(s2.event(["a"]))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from dutchbook.cli import main
-from dutchbook.formats import parse_structured, render_structured
+from dutchbook.formats import render_structured
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -46,7 +46,7 @@ def test_audit_incoherent_structured(capsys):
     code, out, _ = _run(capsys, "audit", "--format", "structured",
                         str(SAMPLES / "incoherent_book.json"))
     assert code == 2
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["kind"] == "synchronic-audit"
     assert report["verdict"] == "incoherent"
     assert report["witness"] is None
@@ -61,7 +61,7 @@ def test_audit_product_rule_violation(capsys):
     code, out, _ = _run(capsys, "audit", "--format", "structured",
                         str(SAMPLES / "product_rule_violation.json"))
     assert code == 2
-    report = parse_structured(out)
+    report = json.loads(out)
     assert all(F(v) < 0 for v in report["losses"].values())
 
 
@@ -69,7 +69,7 @@ def test_audit_coherent_structured_witness(capsys):
     code, out, _ = _run(capsys, "audit", "--format", "structured",
                         str(SAMPLES / "coherent_book.json"))
     assert code == 0
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["verdict"] == "coherent"
     witness = {k: F(v) for k, v in report["witness"].items()}
     assert sum(witness.values()) == 1
@@ -91,7 +91,7 @@ def test_audit_temporal_reflection_violation(capsys):
     code, out, _ = _run(capsys, "audit", "--temporal", "--format", "structured",
                         str(SAMPLES / "temporal_reflection_violation.json"))
     assert code == 2
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["kind"] == "temporal-audit"
     assert report["violations"] == [
         {"q": "1/2", "conditional": "7/10", "gap": "1/5"}]
@@ -104,7 +104,7 @@ def test_audit_conditioning_strategy(capsys):
     code, out, _ = _run(capsys, "audit", "--temporal", "--format", "structured",
                         str(SAMPLES / "conditioning_strategy.json"))
     assert code == 2
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["violations"] == []
     assert report["strategy"] == {"on": "D", "declared": "1/2",
                                   "forced": "3/4"}
@@ -121,6 +121,40 @@ def test_audit_error_paths(capsys, tmp_path):
     code, _, err = _run(capsys, "audit", str(bad))
     assert code == 1
     assert "not valid JSON" in err
+
+
+_BOOK = ('{"atoms": ["x", "y"], "events": %s, "assessments": '
+         '[{"type": "unconditional", "event": ["x"], "price": %s}]}')
+_TEMPORAL = ('{"temporal": {"qs": [%s], "joint": [{"q": "1/2", "e": true, '
+             '"mass": %s}, {"q": "1/2", "e": false, "mass": "0"}]}}')
+_Z0, _Z1 = [[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]
+
+
+def _scenario(rho0):
+    return json.dumps({"dim": 2, "rho0": rho0, "instrument": [[_Z0], [_Z1]],
+                       "povm": [_Z0, _Z1]})
+
+
+@pytest.mark.parametrize("argv, text, field", [
+    (["audit"], _BOOK % ("{}", '"1/0"'), "assessments[0].price"),
+    (["audit"], _BOOK % ("{}", '"1e-20000"'), "assessments[0].price"),
+    (["audit"], _BOOK % ("{}", "true"), "assessments[0].price"),
+    (["audit"], _BOOK % ('["x"]', '"1/2"'), "document.events"),
+    (["audit", "--temporal"], _TEMPORAL % ('"1/0"', '"1"'), "qs[0]"),
+    (["audit", "--temporal"], _TEMPORAL % ('"1/2"', "true"), "joint[0].mass"),
+    (["demo-quantum"], _scenario([[float("nan")] * 2] * 4), "NaN"),
+    (["demo-quantum"], _scenario([[True, False]] + _Z0[1:]), "rho0[0]"),
+    (["audit"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
+], ids=["zero-denominator", "huge-exponent", "bool-price", "events-list",
+        "zero-denominator-q", "bool-mass", "nan-state", "bool-entry",
+        "deep-nesting"])
+def test_malformed_documents_exit_one(capsys, tmp_path, argv, text, field):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("dutchbook: error:") and err.count("\n") == 1
+    assert field in err
 
 
 def test_bad_flags_exit_one(capsys):
@@ -149,7 +183,7 @@ def test_demo_reflection(capsys):
 def test_demo_reflection_structured(capsys):
     code, out, _ = _run(capsys, "demo-reflection", "--format", "structured")
     assert code == 2
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["kind"] == "reflection-demo"
     assert report["losses"] == {"Q&E": "-7/50", "Q&~E": "-7/50",
                                 "~Q&E": "-1/25", "~Q&~E": "-1/25"}
@@ -159,7 +193,7 @@ def test_demo_polarization_small(capsys):
     code, out, _ = _run(capsys, "demo-polarization", "--n", "16",
                         "--format", "structured")
     assert code == 0
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["kind"] == "polarization-demo"
     assert report["n"] == 16
     assert report["zeros"] + report["ones"] == 16
@@ -174,7 +208,7 @@ def test_demo_polarization_incoherent_maverick(capsys):
     code, out, _ = _run(capsys, "demo-polarization", "--n", "16",
                         "--maverick", "1.5", "--format", "structured")
     assert code == 2
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["maverick_coherent"] is False
     assert report["conditioning_coherent"] is True
 
@@ -185,7 +219,7 @@ def test_demo_polarization_bits_file(capsys, tmp_path):
     code, out, _ = _run(capsys, "demo-polarization", "--bits", str(bits),
                         "--format", "structured")
     assert code == 0
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["n"] == 4
     assert abs(report["conditioning_next_zero"] - 0.5) < 1e-12
 
@@ -213,7 +247,7 @@ def test_demo_quantum(capsys):
     code, out, _ = _run(capsys, "demo-quantum", "--format", "structured",
                         str(SAMPLES / "qubit_z_then_x.json"))
     assert code == 0
-    report = parse_structured(out)
+    report = json.loads(out)
     assert report["kind"] == "quantum-demo"
     assert report["dim"] == 2
     assert abs(report["first_probs"][0] - 0.5) < 1e-12
@@ -235,6 +269,20 @@ def test_demo_quantum_text_mentions_probabilities(capsys):
     assert code == 0
     assert "reflection P0(j)" in out
     assert "decohered" in out
+
+
+def test_demo_quantum_zero_probability_outcome(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(_scenario(_Z0))  # state |0><0|: Z outcome 1 never occurs
+    code, out, _ = _run(capsys, "demo-quantum", str(path))
+    assert code == 0
+    assert "outcome 1: probability 0, no posterior state" in out
+    code, out, _ = _run(capsys, "demo-quantum", "--format", "structured",
+                        str(path))
+    report = json.loads(out)
+    assert report["post_states"][0] is not None
+    assert report["post_states"][1] is None
+    assert report["posterior_probs"][1] is None
 
 
 def test_demo_quantum_bad_file(capsys):

@@ -1,5 +1,5 @@
 """Temporal models: reflection, the three-leg sure loss, conditioning,
-solidarity, and Jeffrey updates."""
+and Jeffrey updates."""
 
 from fractions import Fraction as F
 
@@ -14,26 +14,24 @@ from dutchbook.diachronic import (
     ReflectionViolationError,
     StrategyNotAdoptedError,
     TemporalModel,
-    Ticket,
-    TimedLeg,
-    TimedPortfolio,
     UndefinedUpdateError,
     build_reflection_dutch_book,
     conditioning_strategy_check,
     goldstein_expectation,
     jeffrey_update,
-    realize,
     reflection_check,
-    solidarity_check,
 )
+from dutchbook.synchronic import Portfolio, PortfolioLeg, settle
 
 WORKED = dict(qs=(F(1, 2), F(1, 4)), masses=(F(2, 5), F(3, 5)),
               e_given_q=(F(7, 10), F(1, 4)))
 
 
 def _all_branches(portfolio):
-    return {(c, e): realize(portfolio, c, e)
-            for c in (True, False) for e in (True, False)}
+    """Settlement keyed by (condition true, E true); atoms run C&E ... ~C&~E."""
+    keys = [(c, e) for c in (True, False) for e in (True, False)]
+    return {key: settle(portfolio, atom)
+            for key, atom in zip(keys, portfolio.book.space.atoms)}
 
 
 def test_reflection_by_construction_has_no_violations():
@@ -80,6 +78,16 @@ def test_goldstein_requires_reflection():
 def test_worked_example_book_loses_exact_amounts():
     m = TemporalModel.from_conditionals(**WORKED)
     book = build_reflection_dutch_book(m, F(1, 2))
+    assert book.book.space.atoms == ("Q&E", "Q&~E", "~Q&E", "~Q&~E")
+    # Called-off E given Q at the conditional, Q at its mass with stake
+    # |gap|/2, and E given Q at the announced value, traded at t=tau.
+    q_cell = book.book.space.event(["Q&E", "Q&~E"])
+    e = book.book.space.event(["Q&E", "~Q&E"])
+    assert [(a.event, a.price, a.condition) for a in book.book.assessments] == [
+        (e, F(7, 10), q_cell), (q_cell, F(2, 5), None), (e, F(1, 2), q_cell)]
+    assert [(leg.assessment, leg.direction, leg.quantity, leg.time)
+            for leg in book.legs] == [
+        (0, "buy", 1, "t0"), (1, "buy", F(1, 10), "t0"), (2, "sell", 1, "t_tau")]
     branches = _all_branches(book)
     assert branches[(True, True)] == F(-7, 50)
     assert branches[(True, False)] == F(-7, 50)
@@ -116,17 +124,22 @@ def test_book_requires_a_violation_and_positive_mass():
 
 
 def test_realize_empty_portfolio():
-    assert realize(TimedPortfolio(()), True, False) == 0
+    book = build_reflection_dutch_book(
+        TemporalModel.from_conditionals(**WORKED), F(1, 2)).book
+    assert settle(Portfolio(book, ()), "Q&~E") == 0
 
 
 def test_timed_leg_validation():
-    ticket = Ticket("unit", ((F(0), F(1)), (F(0), F(1))))
+    assert PortfolioLeg(0, "buy", F(1)).time == "t0"
+    assert PortfolioLeg(0, "buy", F(1), "t_tau").time == "t_tau"
     with pytest.raises(ValueError):
-        TimedLeg("t_tau", "always", "buy", ticket, F(1, 2))
+        PortfolioLeg(0, "buy", F(1), "later")
     with pytest.raises(ValueError):
-        TimedLeg("later", "always", "buy", ticket, F(1, 2))
-    with pytest.raises(ValueError):
-        TimedLeg("t0", "always", "hold", ticket, F(1, 2))
+        PortfolioLeg(0, "hold", F(1), "t0")
+    book = build_reflection_dutch_book(
+        TemporalModel.from_conditionals(**WORKED), F(1, 2)).book
+    with pytest.raises(ValueError, match="called-off"):  # assessment 1 is on Q
+        Portfolio(book, (PortfolioLeg(1, "buy", F(1), "t_tau"),))
 
 
 def test_temporal_model_validation():
@@ -163,7 +176,7 @@ def test_conditioning_mismatch_yields_exact_losses():
     assert branches[(True, False)] == F(-7, 40)
     assert branches[(False, True)] == F(-1, 20)
     assert branches[(False, False)] == F(-1, 20)
-    assert outcome.portfolio.condition_label == "D"
+    assert outcome.portfolio.book.space.atoms == ("D&E", "D&~E", "~D&E", "~D&~E")
 
 
 def test_conditioning_consistent_strategy_is_confirmed():
@@ -212,16 +225,6 @@ def test_bijection_case_reflection_and_conditioning_agree():
     outcome = conditioning_strategy_check(m)
     assert outcome.coherent
     assert outcome.forced_q == m.joint.cond_prob(m.e_event(), m.d_event())
-
-
-def test_solidarity_is_reflection_reworded():
-    m = TemporalModel.from_conditionals(
-        qs=(F(3, 10), F(7, 10)), masses=(F(1, 2), F(1, 2)),
-        e_given_q=(F(3, 5), F(7, 10)))
-    violations = solidarity_check(m)
-    assert len(violations) == 1
-    assert violations[0].q == F(3, 10)
-    assert violations[0].gap == F(3, 10)
 
 
 def test_jeffrey_update_examples():

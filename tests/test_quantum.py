@@ -76,6 +76,8 @@ def test_density_operator_validation():
         DensityOperator(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityOperator(np.ones((2, 3)))  # not square
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityOperator(np.full((2, 2), np.nan))  # every NaN comparison is false
 
 
 def test_density_operator_from_ket_normalizes():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutchbook.simplex import solve_equality_feasibility
+from dutchbook.simplex import _check_solution, solve_equality_feasibility
 
 
 def _check(rows, rhs):
@@ -31,6 +31,15 @@ def test_simple_feasible_system():
     r = _check([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)])
     assert r.feasible
     assert r.solution == (F(1, 2), F(1, 2))
+
+
+def test_solution_check_rejects_a_point_missing_a_row():
+    rows, rhs = [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)]
+    _check_solution(rows, rhs, (F(1, 2), F(1, 2)))
+    with pytest.raises(RuntimeError, match="row not met"):
+        _check_solution(rows, rhs, (F(1), F(0)))  # meets row 0, misses row 1
+    with pytest.raises(RuntimeError, match="negative"):
+        _check_solution(rows, rhs, (F(-1), F(2)))
 
 
 def test_simple_infeasible_system():

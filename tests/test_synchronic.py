@@ -11,6 +11,7 @@ from dutchbook.synchronic import (
     Assessment,
     CoherentBookError,
     Portfolio,
+    PortfolioLeg,
     PriceBook,
     build_dutch_book,
     check_coherence,
@@ -34,7 +35,8 @@ def _book(space, *specs):
 
 
 def _verify_sure_loss(book, portfolio):
-    amounts = [settle(portfolio, book, atom) for atom in range(book.space.size)]
+    assert portfolio.book == book
+    amounts = [settle(portfolio, atom) for atom in range(book.space.size)]
     assert max(amounts) < 0
     return amounts
 
@@ -111,16 +113,17 @@ def test_called_off_price_constrains_only_inside_condition():
 def test_settle_basics():
     space = OutcomeSpace(["e", "not_e"])
     book = _book(space, (["e"], "3/5"))
-    assert settle(Portfolio(()), book, 0) == 0
+    assert settle(Portfolio(book, ()), 0) == 0
     result = check_coherence(book)
     assert result.coherent
-    from dutchbook.synchronic import PortfolioLeg
 
-    bought = Portfolio((PortfolioLeg(0, "buy", F(1)),))
-    assert settle(bought, book, "e") == F(2, 5)
-    assert settle(bought, book, "not_e") == F(-3, 5)
+    bought = Portfolio(book, (PortfolioLeg(0, "buy", F(1)),))
+    assert settle(bought, "e") == F(2, 5)
+    assert settle(bought, "not_e") == F(-3, 5)
     with pytest.raises(ValueError):
-        settle(bought, book, 9)
+        settle(bought, 9)
+    with pytest.raises(ValueError):  # the book has no assessment 1
+        Portfolio(book, (PortfolioLeg(1, "buy", F(1)),))
 
 
 def test_build_dutch_book_on_coherent_book_is_a_logic_error():

@@ -105,13 +105,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _exact(value: Fraction) -> str:
+    """`str(value)`, or an input error past Python's int-to-str digit limit.
+
+    Prices within the input caps can still give a witness or a portfolio
+    whose numerators and denominators are too long for `str` to print.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise AuditFileError(
+            "an exact result has more digits than Python's int-to-str "
+            "limit allows; it cannot be printed") from None
+
+
 def _witness_rows(witness: BeliefState) -> dict[str, str]:
-    return {label: str(mass)
+    return {label: _exact(mass)
             for label, mass in zip(witness.space.atoms, witness.pmf)}
 
 
 def _losses(portfolio: Portfolio) -> dict[str, str]:
-    return {label: str(settle(portfolio, label))
+    return {label: _exact(settle(portfolio, label))
             for label in portfolio.book.space.atoms}
 
 
@@ -138,7 +152,7 @@ def _synchronic_audit(book: PriceBook) -> tuple[int, dict, str]:
             "assessment": leg.assessment,
             "description": book.assessments[leg.assessment].describe(),
             "direction": leg.direction,
-            "quantity": str(leg.quantity),
+            "quantity": _exact(leg.quantity),
         }
         for leg in portfolio.legs
     ]
@@ -171,7 +185,8 @@ def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
     rows = []
     for leg in portfolio.legs:
         a = portfolio.book.assessments[leg.assessment]
-        event, stake = _branch_name(a.event), leg.quantity
+        event, stake = _branch_name(a.event), _exact(leg.quantity)
+        price = _exact(leg.quantity * a.price)
         cond = _branch_name(a.condition) if a.is_conditional else None
         # A t_tau trade only happens once its condition is true, so its
         # ticket is shown plain and the condition becomes the trigger.
@@ -180,10 +195,10 @@ def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
             ticket = f"pays ${stake} if {event}"
         else:
             ticket = (f"pays ${stake} if {cond} and {event}, "
-                      f"refunds ${stake * a.price} if not {cond}")
+                      f"refunds ${price} if not {cond}")
         rows.append({"time": leg.time, "trigger": trigger,
                      "direction": leg.direction, "ticket": ticket,
-                     "price": str(stake * a.price)})
+                     "price": price})
     return rows
 
 
@@ -211,8 +226,8 @@ def _temporal_audit(model: TemporalModel,
             raise AuditFileError(f"document.temporal.strategy: {exc}") from None
         strategy = {
             "on": "D",
-            "declared": str(outcome.declared_q),
-            "forced": str(outcome.forced_q),
+            "declared": _exact(outcome.declared_q),
+            "forced": _exact(outcome.forced_q),
         }
         strategy_book = outcome.portfolio
 
@@ -225,7 +240,8 @@ def _temporal_audit(model: TemporalModel,
         "kind": "temporal-audit",
         "verdict": verdict,
         "violations": [
-            {"q": str(v.q), "conditional": str(v.conditional), "gap": str(v.gap)}
+            {"q": _exact(v.q), "conditional": _exact(v.conditional),
+             "gap": _exact(v.gap)}
             for v in violations
         ],
         "portfolio": rows,
@@ -237,9 +253,9 @@ def _temporal_audit(model: TemporalModel,
     lines = [f"verdict: {verdict}"]
     if violations:
         lines.append("reflection violations:")
-        for v in violations:
-            lines.append(f"  announced {v.q}: time-zero conditional "
-                         f"{v.conditional}, gap {v.gap}")
+        for v in report["violations"]:
+            lines.append(f"  announced {v['q']}: time-zero conditional "
+                         f"{v['conditional']}, gap {v['gap']}")
     else:
         lines.append("no reflection violations")
     if strategy is not None:

@@ -64,6 +64,15 @@ def _as_frac(value: Any, field: str) -> Fraction:
         raise AuditFileError(f"{field}: {exc}") from None
 
 
+def _event_from_labels(labels: list, space: OutcomeSpace, field: str) -> Event:
+    if not all(isinstance(a, str) for a in labels):
+        _fail(field, "expected a list of atom label strings")
+    try:
+        return space.event(labels)
+    except (KeyError, ValueError) as exc:
+        raise AuditFileError(f"{field}: {exc}") from None
+
+
 def _resolve_event(ref: Any, space: OutcomeSpace,
                    named: dict[str, Event], field: str) -> Event:
     if isinstance(ref, str):
@@ -71,10 +80,7 @@ def _resolve_event(ref: Any, space: OutcomeSpace,
             _fail(field, f"unknown event name {ref!r}")
         return named[ref]
     if isinstance(ref, list):
-        try:
-            return space.event(ref)
-        except (KeyError, ValueError) as exc:
-            raise AuditFileError(f"{field}: {exc}") from None
+        return _event_from_labels(ref, space, field)
     _fail(field, "expected an event name or a list of atom labels")
 
 
@@ -108,10 +114,7 @@ def _parse_book(data: dict, field: str) -> PriceBook:
     for name, labels in events.items():
         if not isinstance(labels, list):
             _fail(f"{field}.events.{name}", "expected a list of atom labels")
-        try:
-            named[name] = space.event(labels)
-        except (KeyError, ValueError) as exc:
-            raise AuditFileError(f"{field}.events.{name}: {exc}") from None
+        named[name] = _event_from_labels(labels, space, f"{field}.events.{name}")
 
     raw = data.get("assessments")
     if not isinstance(raw, list) or not raw:
@@ -227,7 +230,10 @@ def matrix_from_pairs(pairs: Any, dim: int, field: str) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                            for x in pair)):
             _fail(f"{field}[{i}]", "expected an [re, im] pair of numbers")
-        values.append(complex(pair[0], pair[1]))
+        try:
+            values.append(complex(pair[0], pair[1]))
+        except OverflowError:
+            _fail(f"{field}[{i}]", "number too large for a float")
     return np.array(values, dtype=complex).reshape(dim, dim)
 
 

@@ -11,7 +11,8 @@ those probabilities, and linear inversion recovers it.
 Instruments are stored in Kraus form so complete positivity is structural
 rather than numerically checked.  Tolerances: 1e-10 for structural
 invariants (Hermiticity, trace, identity sums), 1e-12 for algebraic
-identities at small dimension, eigenvalue floor -1e-10.
+identities at small dimension, eigenvalue floor -1e-10, 1e-12 for a zero
+outcome probability, 1e-8 for the residual of a state reconstruction.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ __all__ = [
     "STRUCT_TOL",
     "ALG_TOL",
     "EIG_FLOOR",
+    "ZERO_PROB_TOL",
+    "RECONSTRUCT_TOL",
     "QuantumError",
     "DimensionMismatchError",
     "NotTracePreservingError",
@@ -59,6 +62,12 @@ STRUCT_TOL = 1e-10
 ALG_TOL = 1e-12
 #: Most negative eigenvalue tolerated in a positive-semidefinite check.
 EIG_FLOOR = -1e-10
+#: Outcome probability at or below which `post_state` refuses to normalize:
+#: dividing by it would turn rounding noise into a state.
+ZERO_PROB_TOL = 1e-12
+#: Largest residual |frame @ rho - probs| that `reconstruct_state` accepts
+#: as a state reproducing the probabilities; above it, none does.
+RECONSTRUCT_TOL = 1e-8
 
 
 class QuantumError(Exception):
@@ -235,7 +244,7 @@ def post_state(ins: Instrument, i: int, rho: DensityOperator) -> DensityOperator
     _require_same_dim(ins.dim, rho.dim)
     image = ins.apply(i, rho.matrix)
     p = float(image.trace().real)
-    if p <= 1e-12:
+    if p <= ZERO_PROB_TOL:
         raise ZeroProbabilityOutcomeError(
             f"outcome {i} has probability {p:.3g}; posterior state undefined")
     return DensityOperator(image / p)
@@ -329,7 +338,7 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
 
     Least-squares linear inversion on the effect frame.  Refuses non-IC
     POVMs (the operator would not be unique) and probability lists no
-    state reproduces (residual above 1e-8).
+    state reproduces (residual above `RECONSTRUCT_TOL`).
     """
     if len(probs) != pov.n_outcomes:
         raise ValueError(
@@ -342,7 +351,7 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     target = np.asarray(probs, dtype=complex)
     vec, *_ = np.linalg.lstsq(frame, target, rcond=None)
     residual = float(np.abs(frame @ vec - target).max())
-    if residual > 1e-8:
+    if residual > RECONSTRUCT_TOL:
         raise InconsistentProbabilitiesError(
             f"no state matches the probabilities (residual {residual:.3g})")
     rho = vec.reshape(d, d)

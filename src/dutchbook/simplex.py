@@ -1,25 +1,37 @@
 """Exact rational feasibility solver for small dense equality systems.
 
 Decides whether ``{x >= 0 : A x = b}`` is nonempty using a phase-1 simplex
-over `fractions.Fraction` with Bland's anti-cycling rule.  On success it
-returns a basic feasible point; on failure it returns a Farkas vector ``y``
-with ``y . A_j <= 0`` for every column j and ``y . b > 0``, which is the raw
-material for an explicit sure-loss portfolio.  Either result is checked
-against the system before it is returned.
+with Bland's anti-cycling rule.  On success it returns a basic feasible
+point; on failure it returns a Farkas vector ``y`` with ``y . A_j <= 0``
+for every column j and ``y . b > 0``, which is the raw material for an
+explicit sure-loss portfolio.  Either result is checked against the system
+before it is returned.
 
-No tolerances anywhere: every comparison is an exact rational comparison.
+The tableau holds Python ints, not fractions.  Each row is scaled by the
+lcm of its denominators, and the whole tableau shares one positive
+denominator ``d``, the previous pivot.  A pivot on ``p = T[r][c]`` updates
+every other row as ``(T[i][j]*p - T[i][c]*T[r][j]) // d``: the integer
+(Bareiss / Edmonds) form of Gauss-Jordan elimination, whose entries are
+minors of the scaled input, so the division is always exact.  The phase-1
+cost row weights each scaled artificial so that its reduced costs are a
+positive multiple of the unscaled ones; Bland's rule therefore makes the
+same entering and leaving choices as on the rational tableau, and the
+point and the certificate are the same.
+
+No tolerances anywhere: every comparison is an exact integer comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 __all__ = ["Feasibility", "solve_equality_feasibility"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -50,23 +62,35 @@ def solve_equality_feasibility(
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
 
-    # Orient every row so its rhs is nonnegative; remember the flips so the
-    # certificate can be mapped back to the caller's row order and signs.
-    flip = [(-_ONE if b < 0 else _ONE) for b in rhs]
-    tab = [[flip[i] * v for v in rows[i]] + [_ZERO] * m + [flip[i] * rhs[i]]
-           for i in range(m)]
+    # Orient every row so its rhs is nonnegative (remembering the flips for
+    # the certificate), then clear its denominators: row i becomes
+    # scale[i] * flip[i] * (A_i | b_i) in ints.  Its artificial column stays
+    # the unit vector, which makes the artificial variable scale[i] times
+    # the unscaled one.
+    flip = [-1 if b < 0 else 1 for b in rhs]
+    scale = []
+    tab = []
     for i in range(m):
-        tab[i][n + i] = _ONE
-    basis = list(range(n, n + m))
-
-    # Reduced-cost row for minimizing the artificial sum (costs 0 on real
-    # columns, 1 on artificials), with the basic artificials eliminated:
-    # real column j gets -sum of its entries, artificial columns get 1-1=0.
+        s, row = _scaled([*rows[i], rhs[i]])
+        if flip[i] < 0:
+            row = [-v for v in row]
+        row[n:n] = [0] * m
+        row[n + i] = 1
+        scale.append(s)
+        tab.append(row)
     width = n + m
-    cost = [_ZERO] * width
-    for j in range(n):
-        cost[j] = -sum((tab[i][j] for i in range(m)), _ZERO)
-    obj = sum((tab[i][width] for i in range(m)), _ZERO)
+    basis = list(range(n, width))
+
+    # Phase-1 cost row with the basic artificials eliminated.  Artificial i
+    # costs top // scale[i], so the objective is top times the unscaled sum
+    # of artificials and every reduced cost is top times the unscaled one:
+    # the signs Bland's rule reads are unchanged.
+    top = lcm(*scale)
+    weight = [top // s for s in scale]
+    # The slot under the rhs column is carried through the pivots unread.
+    cost = [-sum(w * row[j] for w, row in zip(weight, tab)) for j in range(n)]
+    cost += [0] * (m + 1)
+    denom = 1
 
     while True:
         # Artificials never re-enter; their reduced costs are still updated
@@ -75,58 +99,72 @@ def solve_equality_feasibility(
         if enter is None:
             break
         # Bland: among minimizing ratios, pivot on the smallest basic index.
+        # Ratios compare by cross-multiplication; both coefficients are > 0.
         pivot_row = None
-        best = None
         for i in range(m):
             coeff = tab[i][enter]
-            if coeff > 0:
-                ratio = tab[i][width] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = i
+            if coeff <= 0:
+                continue
+            if pivot_row is not None:
+                here = tab[i][width] * tab[pivot_row][enter]
+                best = tab[pivot_row][width] * coeff
+                if here > best or (here == best and basis[i] > basis[pivot_row]):
+                    continue
+            pivot_row = i
         if pivot_row is None:
             raise RuntimeError("phase-1 objective unbounded; constraint setup is broken")
-        _pivot(tab, cost, pivot_row, enter)
+        denom = _pivot(tab, cost, pivot_row, enter, denom)
         basis[pivot_row] = enter
-        obj = sum((tab[i][width] for i in range(m) if basis[i] >= n), _ZERO)
 
-    if obj == 0:
+    if all(tab[i][width] == 0 for i in range(m) if basis[i] >= n):
         solution = [_ZERO] * n
         for i, var in enumerate(basis):
             if var < n:
-                solution[var] = tab[i][width]
+                solution[var] = Fraction(tab[i][width], denom)
         _check_solution(rows, rhs, solution)
         return Feasibility(True, tuple(solution), None)
 
-    # Infeasible: the phase-1 dual is read off the artificial columns.
-    y = [flip[i] * (_ONE - cost[n + i]) for i in range(m)]
+    # Infeasible: the phase-1 dual is read off the artificial columns.  The
+    # unscaled reduced cost of artificial i is scale[i] * cost / (top * d).
+    y = [flip[i] * (1 - Fraction(scale[i] * cost[n + i], top * denom))
+         for i in range(m)]
     _check_certificate(rows, rhs, y)
     return Feasibility(False, None, tuple(y))
 
 
-def _pivot(tab, cost, row: int, col: int) -> None:
-    width = len(cost)
-    inv = _ONE / tab[row][col]
-    tab[row] = [v * inv for v in tab[row]]
+def _scaled(entries) -> tuple[int, list[int]]:
+    """The lcm ``s`` of the denominators of `entries`, and ``s * entries`` in ints."""
+    s = lcm(*(v.denominator for v in entries))
+    return s, [v.numerator * (s // v.denominator) for v in entries]
+
+
+def _pivot(tab, cost, row: int, col: int, denom: int) -> int:
+    """Pivot on ``tab[row][col]`` in place; return the new denominator."""
     pivot_vals = tab[row]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            factor = tab[i][col]
-            tab[i] = [v - factor * p for v, p in zip(tab[i], pivot_vals)]
-    if cost[col] != 0:
-        factor = cost[col]
-        for j in range(width):
-            cost[j] -= factor * pivot_vals[j]
+    p = pivot_vals[col]
+    for target in (*tab, cost):
+        if target is pivot_vals:
+            continue
+        factor = target[col]
+        if factor:
+            target[:] = [(v * p - factor * q) // denom
+                         for v, q in zip(target, pivot_vals)]
+        elif p != denom:
+            target[:] = [v * p // denom for v in target]
+    return p
 
 
 def _check_certificate(rows, rhs, y) -> None:
     # Farkas conditions are theorems of the arithmetic; failing them means
-    # a bug in the tableau bookkeeping, so fail loudly.
-    n = len(rows[0])
-    for j in range(n):
-        if sum(y[i] * rows[i][j] for i in range(len(rows))) > 0:
-            raise RuntimeError("invalid Farkas certificate (column positivity)")
-    if sum(y[i] * rhs[i] for i in range(len(rows))) <= 0:
+    # a bug in the tableau bookkeeping, so fail loudly.  The sums run in
+    # ints: row i is s_i times the caller's row, and k_i = K * y_i / s_i
+    # for one positive K, so each sum is K times the rational one.
+    scaled = [_scaled([*row, b]) for row, b in zip(rows, rhs)]
+    _, k = _scaled([Fraction(yi, s) for yi, (s, _) in zip(y, scaled)])
+    *columns, rhs_column = zip(*(ints for _, ints in scaled))
+    if any(sum(map(mul, k, column)) > 0 for column in columns):
+        raise RuntimeError("invalid Farkas certificate (column positivity)")
+    if sum(map(mul, k, rhs_column)) <= 0:
         raise RuntimeError("invalid Farkas certificate (rhs sign)")
 
 

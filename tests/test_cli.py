@@ -157,6 +157,35 @@ def test_malformed_documents_exit_one(capsys, tmp_path, argv, text, field):
     assert field in err
 
 
+def _chained_book(contradiction: bool) -> dict:
+    """12 atoms: P(a0), then P(a_k | {a_k..a11}) for k = 1..10, each 1/q
+    with q a 495-digit number, so the input is under every cap.  The unique
+    witness multiplies the ten denominators (about 5400 digits); with a
+    contradicting price on a11 the sure-loss quantities grow the same way."""
+    atoms = [f"a{k}" for k in range(12)]
+    big = 10 ** 494
+    entries = [{"type": "unconditional", "event": ["a0"],
+                "price": f"1/{big + 1}"}]
+    for k in range(1, 11):
+        entries.append({"type": "called_off", "event": [f"a{k}"],
+                        "condition": atoms[k:], "price": f"1/{big + 2 * k + 1}"})
+    if contradiction:
+        entries.append({"type": "unconditional", "event": ["a11"],
+                        "price": "1/2"})
+    return {"atoms": atoms, "assessments": entries}
+
+
+@pytest.mark.parametrize("contradiction", [False, True],
+                         ids=["witness", "portfolio"])
+def test_results_too_long_to_print_exit_one(capsys, tmp_path, contradiction):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_chained_book(contradiction)))
+    code, out, err = _run(capsys, "audit", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("dutchbook: error:") and err.count("\n") == 1
+    assert "int-to-str limit" in err
+
+
 def test_bad_flags_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["audit", "--bogus", "x.json"])

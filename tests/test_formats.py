@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dutchbook.formats import (
     AuditDocument,
@@ -143,6 +145,10 @@ def test_event_as_label_list_and_bad_label():
         {"type": "unconditional", "event": ["zzz"], "price": "1"}])
     with pytest.raises(AuditFileError, match=r"assessments\[0\]\.event"):
         parse_audit_document(data)
+    data = _minimal_book(assessments=[
+        {"type": "unconditional", "event": [["x"]], "price": "1"}])
+    with pytest.raises(AuditFileError, match=r"event: expected a list of atom label strings"):
+        parse_audit_document(data)
 
 
 def test_bad_named_event_definition():
@@ -151,6 +157,8 @@ def test_bad_named_event_definition():
         parse_audit_document(data)
     with pytest.raises(AuditFileError, match=r"document\.events: expected an object"):
         parse_audit_document(_minimal_book(events=["x"]))
+    with pytest.raises(AuditFileError, match=r"document\.events\.E: expected a list of atom label strings"):
+        parse_audit_document(_minimal_book(events={"E": [1]}))
 
 
 def test_temporal_rows_validated():
@@ -311,6 +319,8 @@ def test_matrix_from_pairs_errors():
         matrix_from_pairs([[True, False], [0, 0], [0, 0], [0, 0]], 2, "m")
     with pytest.raises(AuditFileError, match=r"m\[3\]"):
         matrix_from_pairs([[1, 0], [0, 0], [0, 0], [1, 0, 0]], 2, "m")
+    with pytest.raises(AuditFileError, match=r"m\[1\]: number too large"):
+        matrix_from_pairs([[1, 0], [0, 10**400], [0, 0], [1, 0]], 2, "m")
 
 
 # ------------------------------------------------------------------ rendering
@@ -324,3 +334,86 @@ def test_render_structured_is_canonical():
     assert json.loads(text) == report
     # Parse-then-render is byte-identical: the format is a fixed point.
     assert render_structured(json.loads(text)) == text
+
+
+# --------------------------------------------------------------------- fuzzing
+
+# Any JSON value, biased toward the field names, tokens and shapes the two
+# document formats use, so that generated documents get past the top-level
+# checks and reach the deeper ones.
+_KEYS = st.sampled_from([
+    "atoms", "events", "assessments", "type", "event", "condition", "price",
+    "temporal", "qs", "joint", "q", "e", "d", "mass", "strategy", "on",
+    "dim", "rho0", "instrument", "povm",
+])
+_TOKENS = st.sampled_from([
+    "x", "y", "E", "D", "unconditional", "called_off", "0", "1", "1/2",
+    "-1/3", "1/0", "0.25", "1e-3", "1e99999", "2/1", "",
+])
+_SCALARS = (st.none() | st.booleans()
+            | st.integers(min_value=-3, max_value=3) | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | _TOKENS | st.text(max_size=6))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=5)
+                  | st.dictionaries(_KEYS | st.text(max_size=4), kids,
+                                    max_size=5)),
+    max_leaves=40,
+)
+
+
+def _or_any(strategy):
+    return strategy | _JSON
+
+
+_LABELS = st.lists(st.sampled_from(["x", "y", "z"]), max_size=4)
+_ASSESSMENT = st.fixed_dictionaries(
+    {"type": _or_any(st.sampled_from(["unconditional", "called_off"])),
+     "event": _or_any(_LABELS | st.just("E")),
+     "price": _or_any(_TOKENS)},
+    optional={"condition": _or_any(_LABELS | st.just("E"))},
+)
+_TEMPORAL = st.fixed_dictionaries(
+    {"qs": _or_any(st.lists(_TOKENS, max_size=3)),
+     "joint": _or_any(st.lists(st.fixed_dictionaries(
+         {"q": _or_any(_TOKENS), "e": _or_any(st.booleans()),
+          "mass": _or_any(_TOKENS)},
+         optional={"d": _or_any(st.booleans())}), max_size=5))},
+    optional={"strategy": _or_any(st.fixed_dictionaries(
+        {"on": _or_any(st.just("D")), "q": _or_any(_TOKENS)}))},
+)
+_AUDIT = st.fixed_dictionaries(
+    {"atoms": _or_any(st.just(["x", "y", "z"]))},
+    optional={"events": _or_any(st.fixed_dictionaries({"E": _LABELS})),
+              "assessments": _or_any(st.lists(_ASSESSMENT, max_size=3)),
+              "temporal": _or_any(_TEMPORAL)},
+)
+_NUMBER = (st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0, 1, 0.5, -0.5, 1e308, -1e308, 10**400]))
+_PAIRS = st.lists(_or_any(st.lists(_NUMBER, min_size=2, max_size=2)),
+                  min_size=4, max_size=4)
+_SCENARIO = st.fixed_dictionaries(
+    {"dim": _or_any(st.just(2)), "rho0": _or_any(_PAIRS)},
+    optional={"instrument": _or_any(st.lists(st.lists(_PAIRS, max_size=2),
+                                             max_size=2)),
+              "povm": _or_any(st.lists(_PAIRS, max_size=3))},
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_AUDIT | _JSON)
+def test_any_json_audit_document_parses_or_raises_audit_file_error(data):
+    try:
+        parse_audit_document(data)
+    except AuditFileError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SCENARIO | _JSON)
+def test_any_json_scenario_parses_or_raises_audit_file_error(data):
+    try:
+        parse_quantum_scenario(data)
+    except AuditFileError:
+        pass

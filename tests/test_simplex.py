@@ -1,12 +1,19 @@
 """Exact phase-1 feasibility solver and its Farkas certificates."""
 
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from dutchbook.simplex import _check_solution, solve_equality_feasibility
+from dutchbook.simplex import (
+    _check_certificate,
+    _check_solution,
+    solve_equality_feasibility,
+)
 
 
 def _check(rows, rhs):
@@ -109,3 +116,188 @@ def test_systems_with_planted_solution_are_feasible(m, n, data):
     ]
     rhs = [sum(c * v for c, v in zip(row, planted)) for row in rows]
     assert _check(rows, rhs).feasible
+
+
+# ------------------------------------------------------------ reference solver
+
+# The dense `Fraction` tableau the integer solver replaced, kept verbatim as
+# a reference.  Both run phase 1 with Bland's rule on tableaux whose reduced
+# costs differ by a positive factor, so they must agree pivot for pivot:
+# the same verdict, the same point and the same certificate.  The byte-pinned
+# reports under bench/expected/ rely on that.
+_ZERO = F(0)
+_ONE = F(1)
+
+
+def _reference_solve(rows, rhs):
+    m = len(rows)
+    n = len(rows[0])
+    flip = [(-_ONE if b < 0 else _ONE) for b in rhs]
+    tab = [[flip[i] * v for v in rows[i]] + [_ZERO] * m + [flip[i] * rhs[i]]
+           for i in range(m)]
+    for i in range(m):
+        tab[i][n + i] = _ONE
+    basis = list(range(n, n + m))
+
+    width = n + m
+    cost = [_ZERO] * width
+    for j in range(n):
+        cost[j] = -sum((tab[i][j] for i in range(m)), _ZERO)
+    obj = sum((tab[i][width] for i in range(m)), _ZERO)
+
+    while True:
+        enter = next((j for j in range(n) if cost[j] < 0), None)
+        if enter is None:
+            break
+        pivot_row = None
+        best = None
+        for i in range(m):
+            coeff = tab[i][enter]
+            if coeff > 0:
+                ratio = tab[i][width] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
+                    best = ratio
+                    pivot_row = i
+        if pivot_row is None:
+            raise RuntimeError("phase-1 objective unbounded; constraint setup is broken")
+        _reference_pivot(tab, cost, pivot_row, enter)
+        basis[pivot_row] = enter
+        obj = sum((tab[i][width] for i in range(m) if basis[i] >= n), _ZERO)
+
+    if obj == 0:
+        solution = [_ZERO] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                solution[var] = tab[i][width]
+        _check_solution(rows, rhs, solution)
+        return True, tuple(solution), None
+
+    y = [flip[i] * (_ONE - cost[n + i]) for i in range(m)]
+    _check_certificate(rows, rhs, y)
+    return False, None, tuple(y)
+
+
+def _reference_pivot(tab, cost, row, col):
+    width = len(cost)
+    inv = _ONE / tab[row][col]
+    tab[row] = [v * inv for v in tab[row]]
+    pivot_vals = tab[row]
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            factor = tab[i][col]
+            tab[i] = [v - factor * p for v, p in zip(tab[i], pivot_vals)]
+    if cost[col] != 0:
+        factor = cost[col]
+        for j in range(width):
+            cost[j] -= factor * pivot_vals[j]
+
+
+def _assert_matches_reference(rows, rhs):
+    result = solve_equality_feasibility(rows, rhs)
+    got = (result.feasible, result.solution, result.certificate)
+    assert got == _reference_solve(rows, rhs)
+    return result
+
+
+_wide_entry = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=7),
+    st.booleans(),
+    st.data(),
+)
+def test_random_systems_match_reference_pivot_for_pivot(m, n, planted, data):
+    rows = [[data.draw(_wide_entry) for _ in range(n)] for _ in range(m)]
+    if planted:
+        x = [data.draw(st.fractions(min_value=0, max_value=3, max_denominator=6))
+             for _ in range(n)]
+        rhs = [sum(c * v for c, v in zip(row, x)) for row in rows]
+    else:
+        rhs = [data.draw(_wide_entry) for _ in range(m)]
+    _assert_matches_reference(rows, rhs)
+
+
+def _measure(rng, n):
+    weights = [rng.randint(1, 9) for _ in range(n)]
+    return [F(w, sum(weights)) for w in weights]
+
+
+def _dense_subset(rng, n):
+    return frozenset(a for a in range(n) if rng.random() < 0.5) or frozenset({0})
+
+
+def _wide_subset(rng, n, active):
+    # A non-constant boolean function of two of the active coordinates,
+    # so most atom columns of the book are duplicates.
+    c1, c2 = rng.sample(active, 2)
+    while True:
+        table = [rng.random() < 0.5 for _ in range(4)]
+        if any(table) and not all(table):
+            break
+    return frozenset(a for a in range(n)
+                     if table[((a >> c1) & 1) << 1 | ((a >> c2) & 1)])
+
+
+def _book_system(rng, atoms, prices, wide, coherent):
+    """The feasibility system of a random book: total mass one, then one
+    zero-rhs row per ticket.  A quarter of the tickets are called off.
+    Prices come from a random measure, or are moved by 1/10 to 3/10."""
+    measure = _measure(rng, atoms)
+    active = rng.sample(range(atoms.bit_length() - 1), 5) if wide else None
+
+    def subset():
+        return (_wide_subset(rng, atoms, active) if wide
+                else _dense_subset(rng, atoms))
+
+    called_off = set(rng.sample(range(prices), prices // 4))
+    rows, rhs = [[_ONE] * atoms], [_ONE]
+    for k in range(prices):
+        event = subset()
+        cond = subset() if k in called_off else frozenset(range(atoms))
+        mass = sum((measure[a] for a in cond), _ZERO)
+        price = sum((measure[a] for a in event & cond), _ZERO) / mass
+        if not coherent:
+            shift = F(rng.choice((-1, 1)) * rng.randint(4, 12), 40)
+            price = min(_ONE, max(_ZERO, price + shift))
+        rows.append([(int(a in event) - price) if a in cond else _ZERO
+                     for a in range(atoms)])
+        rhs.append(_ZERO)
+    return rows, rhs
+
+
+@pytest.mark.parametrize("atoms, prices, wide", [
+    (8, 6, False), (12, 10, False), (24, 12, False), (32, 16, False),
+    (64, 6, True), (256, 8, True),
+])
+def test_book_systems_match_reference_pivot_for_pivot(atoms, prices, wide):
+    rng = random.Random(f"{atoms}x{prices}")
+    verdicts = set()
+    for k in range(4):
+        rows, rhs = _book_system(rng, atoms, prices, wide, coherent=k % 2 == 0)
+        result = _assert_matches_reference(rows, rhs)
+        verdicts.add(result.feasible)
+        if k % 2 == 0:
+            assert result.feasible
+    assert verdicts == {True, False}
+
+
+def test_verdicts_agree_with_highs():
+    # An independent floating-point LP (scipy's HiGHS) on books whose
+    # exact verdicts are not close calls: coherent books, and books with
+    # every price moved by at least 1/10.
+    rng = random.Random(1103)
+    verdicts = []
+    for k in range(60):
+        atoms, prices = rng.randint(4, 16), rng.randint(2, 10)
+        rows, rhs = _book_system(rng, atoms, prices, False, coherent=k % 3 == 0)
+        exact = solve_equality_feasibility(rows, rhs).feasible
+        lp = linprog(np.zeros(atoms), A_eq=np.array(rows, dtype=float),
+                     b_eq=np.array(rhs, dtype=float), bounds=(0, None),
+                     method="highs")
+        assert lp.status in (0, 2)
+        assert exact == (lp.status == 0)
+        verdicts.append(exact)
+    assert 10 <= sum(verdicts) <= 50

@@ -15,6 +15,11 @@ revealed at t=tau.  The tools here:
 
 Money at the two times trades at par: a zero interest rate is hard-coded.
 Negative realized amounts are agent losses.
+
+The audits take time linear in the number of joint cells: a model builds
+the member sets of its value cells, E and D once, and `reflection_check`
+and `conditioning_strategy_check` read every cell's mass, E-mass and
+D-mass from one pass over the joint.
 """
 
 from __future__ import annotations
@@ -109,15 +114,26 @@ class TemporalModel:
 
         labels = []
         index = {}
+        cells = []
+        e_members = []
+        d_members = []
         for i, q in enumerate(self.qs):
+            cell = []
             for e in (True, False):
                 for d in ((True, False) if self.has_base else (None,)):
                     key = (i, e) if d is None else (i, e, d)
                     name = f"q={q}," + ("E" if e else "~E")
                     if d is not None:
                         name += ",D" if d else ",~D"
-                    index[key] = len(labels)
+                    idx = len(labels)
+                    index[key] = idx
                     labels.append(name)
+                    cell.append(idx)
+                    if e:
+                        e_members.append(idx)
+                    if d:
+                        d_members.append(idx)
+            cells.append(frozenset(cell))
         space = OutcomeSpace(labels)
         pmf = [_ZERO] * len(labels)
         for key, mass in joint.items():
@@ -126,6 +142,9 @@ class TemporalModel:
             pmf[index[key]] = as_fraction(mass)
         self.joint = BeliefState(space, tuple(pmf))
         self._index = index
+        self._cells = tuple(cells)
+        self._e = frozenset(e_members)
+        self._d = frozenset(d_members)
 
     @classmethod
     def from_conditionals(
@@ -153,21 +172,36 @@ class TemporalModel:
 
     def value_event(self, i: int) -> Event:
         """Proposition: the t=tau value equals qs[i]."""
-        members = frozenset(idx for key, idx in self._index.items() if key[0] == i)
-        return Event(self.space, members)
+        return Event(self.space, self._cells[i])
 
     def e_event(self) -> Event:
-        members = frozenset(idx for key, idx in self._index.items() if key[1])
-        return Event(self.space, members)
+        return Event(self.space, self._e)
 
     def d_event(self) -> Event:
         if not self.has_base:
             raise ValueError("model has no base event")
-        members = frozenset(idx for key, idx in self._index.items() if key[2])
-        return Event(self.space, members)
+        return Event(self.space, self._d)
 
     def value_mass(self, i: int) -> Fraction:
         return self.joint.prob(self.value_event(i))
+
+    def _cell_masses(self) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+        """Per value cell, in one pass over the joint: the cell's mass, the
+        mass of E within it, and the mass of D within it (zero without D)."""
+        k = len(self.qs)
+        mass, e_mass, d_mass = [_ZERO] * k, [_ZERO] * k, [_ZERO] * k
+        pmf = self.joint.pmf
+        for key, idx in self._index.items():
+            p = pmf[idx]
+            if not p:
+                continue
+            i = key[0]
+            mass[i] += p
+            if key[1]:
+                e_mass[i] += p
+            if self.has_base and key[2]:
+                d_mass[i] += p
+        return mass, e_mass, d_mass
 
 
 def reflection_check(m: TemporalModel) -> list[Violation]:
@@ -178,12 +212,11 @@ def reflection_check(m: TemporalModel) -> list[Violation]:
     conditionals match the announced future values exactly.
     """
     violations = []
-    e = m.e_event()
-    for i, q in enumerate(m.qs):
-        cell = m.value_event(i)
-        if m.joint.prob(cell) == 0:
+    mass, e_mass, _ = m._cell_masses()
+    for q, cell_mass, cell_e in zip(m.qs, mass, e_mass):
+        if cell_mass == 0:
             continue
-        cond = m.joint.cond_prob(e, cell)
+        cond = cell_e / cell_mass
         if cond != q:
             violations.append(Violation(q, cond, cond - q))
     return violations
@@ -292,14 +325,12 @@ def conditioning_strategy_check(
     """
     if not m.has_base:
         raise StrategyNotAdoptedError("model carries no base event to learn")
-    d_event = m.d_event()
-    d_mass = m.joint.prob(d_event)
+    _, _, cell_d = m._cell_masses()
+    d_mass = sum(cell_d, _ZERO)
     if d_mass == 0:
         raise StrategyNotAdoptedError("base event has probability zero")
-    certain = [
-        i for i in range(len(m.qs))
-        if m.joint.cond_prob(m.value_event(i), d_event) == 1
-    ]
+    # A cell is certain given D when it holds all of D's mass.
+    certain = [i for i, mass in enumerate(cell_d) if mass == d_mass]
     if len(certain) != 1:
         raise StrategyNotAdoptedError(
             "joint does not make any single future value certain given the base event"
@@ -309,7 +340,7 @@ def conditioning_strategy_check(
         raise StrategyNotAdoptedError(
             f"declared value {declared_q} differs from the encoded value {adopted}"
         )
-    forced = m.joint.cond_prob(m.e_event(), d_event)
+    forced = m.joint.prob(m.e_event() & m.d_event()) / d_mass
     if forced == adopted:
         return ConditioningResult(forced, adopted, None)
     book = _three_leg_book(d_mass, forced, adopted, "D")

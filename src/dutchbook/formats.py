@@ -107,7 +107,7 @@ def _parse_book(data: dict, field: str) -> PriceBook:
     except ValueError as exc:
         raise AuditFileError(f"{field}.atoms: {exc}") from None
 
-    events = data.get("events") or {}
+    events = data.get("events", {})
     if not isinstance(events, dict):
         _fail(f"{field}.events", "expected an object of named atom-label lists")
     named: dict[str, Event] = {}
@@ -147,6 +147,11 @@ def _parse_temporal(data: dict, field: str) -> tuple[TemporalModel, Fraction | N
     if not isinstance(raw_qs, list) or not raw_qs:
         _fail(f"{field}.qs", "expected a non-empty list of rationals")
     qs = [_as_frac(q, f"{field}.qs[{i}]") for i, q in enumerate(raw_qs)]
+    # First index of each value, as `qs.index` gives; Fractions hash by
+    # value, so "1/2" and "0.5" share one entry.
+    position: dict[Fraction, int] = {}
+    for i, q in enumerate(qs):
+        position.setdefault(q, i)
 
     raw_rows = _get(data, "joint", field)
     if not isinstance(raw_rows, list) or not raw_rows:
@@ -155,17 +160,18 @@ def _parse_temporal(data: dict, field: str) -> tuple[TemporalModel, Fraction | N
     for i, row in enumerate(raw_rows):
         here = f"{field}.joint[{i}]"
         q = _as_frac(_get(row, "q", here), f"{here}.q")
-        if q not in qs:
+        cell = position.get(q)
+        if cell is None:
             _fail(f"{here}.q", f"value {q} is not listed in qs")
         e = _get(row, "e", here)
         if not isinstance(e, bool):
             _fail(f"{here}.e", "expected true or false")
         mass = _as_frac(_get(row, "mass", here), f"{here}.mass")
-        key: tuple = (qs.index(q), e)
+        key: tuple = (cell, e)
         if "d" in row:
             if not isinstance(row["d"], bool):
                 _fail(f"{here}.d", "expected true or false")
-            key = (qs.index(q), e, row["d"])
+            key = (cell, e, row["d"])
         if key in joint:
             _fail(here, "duplicate (q, e, d) cell")
         joint[key] = mass

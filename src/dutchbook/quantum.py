@@ -12,7 +12,8 @@ Instruments are stored in Kraus form so complete positivity is structural
 rather than numerically checked.  Tolerances: 1e-10 for structural
 invariants (Hermiticity, trace, identity sums), 1e-12 for algebraic
 identities at small dimension, eigenvalue floor -1e-10, 1e-12 for a zero
-outcome probability, 1e-8 for the residual of a state reconstruction.
+outcome probability, 1e-8 for the residual of a state reconstruction.  A
+structural check whose value overflows to inf or NaN fails, silently.
 """
 
 from __future__ import annotations
@@ -107,8 +108,22 @@ def _as_square(matrix, what: str) -> np.ndarray:
     return m
 
 
-def _hermitian_floor(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())
+# Entries are finite, but sums and products of entries near the float
+# maximum overflow to inf or NaN.  The structural checks run under this
+# errstate, so numpy prints no warning, and compare with `<=` or `>=`, so
+# such a value fails the check: NaN compares false with everything.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def _off(residual) -> bool:
+    """Whether a residual that should vanish has an entry beyond
+    `STRUCT_TOL`, or one that is not a number."""
+    return not np.abs(residual).max() <= STRUCT_TOL
+
+
+def _is_psd(m: np.ndarray) -> bool:
+    # Halving before adding keeps the Hermitian part finite.
+    return np.linalg.eigvalsh(m / 2 + m.conj().T / 2).min() >= EIG_FLOOR
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,13 +132,15 @@ class DensityOperator:
 
     matrix: np.ndarray
 
+    @_quiet
     def __post_init__(self):
         m = _as_square(self.matrix, "density operator")
-        if np.abs(m - m.conj().T).max() > STRUCT_TOL:
+        if _off(m - m.conj().T):
             raise ValueError("density operator must be Hermitian")
-        if abs(m.trace() - 1.0) > STRUCT_TOL:
-            raise ValueError(f"density operator trace must be 1, got {m.trace():.12g}")
-        if _hermitian_floor(m) < EIG_FLOOR:
+        trace = m.trace()
+        if _off(trace - 1.0):
+            raise ValueError(f"density operator trace must be 1, got {trace:.12g}")
+        if not _is_psd(m):
             raise ValueError("density operator must be positive semidefinite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -150,6 +167,7 @@ class Instrument:
 
     outcomes: tuple[tuple[np.ndarray, ...], ...]
 
+    @_quiet
     def __post_init__(self):
         if not self.outcomes:
             raise ValueError("instrument needs at least one outcome")
@@ -171,7 +189,7 @@ class Instrument:
                 ops.append(k)
             packed.append(tuple(ops))
         total = sum(k.conj().T @ k for ops in packed for k in ops)
-        if np.abs(total - np.eye(dim)).max() > STRUCT_TOL:
+        if _off(total - np.eye(dim)):
             raise NotTracePreservingError(
                 "Kraus operators must satisfy sum K†K = identity")
         object.__setattr__(self, "outcomes", tuple(packed))
@@ -195,6 +213,7 @@ class Povm:
 
     effects: tuple[np.ndarray, ...]
 
+    @_quiet
     def __post_init__(self):
         if not self.effects:
             raise ValueError("POVM needs at least one effect")
@@ -207,14 +226,14 @@ class Povm:
             elif e.shape[0] != dim:
                 raise DimensionMismatchError(
                     f"effects mix dimensions {dim} and {e.shape[0]}")
-            if np.abs(e - e.conj().T).max() > STRUCT_TOL:
+            if _off(e - e.conj().T):
                 raise ValueError(f"effect {j} must be Hermitian")
-            if _hermitian_floor(e) < EIG_FLOOR:
+            if not _is_psd(e):
                 raise ValueError(f"effect {j} must be positive semidefinite")
             e.setflags(write=False)
             packed.append(e)
         total = sum(packed)
-        if np.abs(total - np.eye(dim)).max() > STRUCT_TOL:
+        if _off(total - np.eye(dim)):
             raise ValueError("effects must sum to the identity")
         object.__setattr__(self, "effects", tuple(packed))
 
@@ -281,6 +300,7 @@ def decohered_state(ins: Instrument, rho0: DensityOperator) -> DensityOperator:
     return DensityOperator(total)
 
 
+@_quiet
 def _validate_projectors(projectors) -> list[np.ndarray]:
     ps = [_as_square(p, f"projector {i}") for i, p in enumerate(projectors)]
     if not ps:
@@ -289,16 +309,16 @@ def _validate_projectors(projectors) -> list[np.ndarray]:
     for i, p in enumerate(ps):
         if p.shape[0] != dim:
             raise ProjectorFamilyError("projectors mix dimensions")
-        if np.abs(p - p.conj().T).max() > STRUCT_TOL:
+        if _off(p - p.conj().T):
             raise ProjectorFamilyError(f"projector {i} is not Hermitian")
-        if np.abs(p @ p - p).max() > STRUCT_TOL:
+        if _off(p @ p - p):
             raise ProjectorFamilyError(f"projector {i} is not idempotent")
     for i in range(len(ps)):
         for j in range(i + 1, len(ps)):
-            if np.abs(ps[i] @ ps[j]).max() > STRUCT_TOL:
+            if _off(ps[i] @ ps[j]):
                 raise ProjectorFamilyError(
                     f"projectors {i} and {j} are not orthogonal")
-    if np.abs(sum(ps) - np.eye(dim)).max() > STRUCT_TOL:
+    if _off(sum(ps) - np.eye(dim)):
         raise ProjectorFamilyError("projectors do not sum to the identity")
     return ps
 

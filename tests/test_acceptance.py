@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten headline criteria, one test per criterion.
+"""Acceptance gate: the headline criteria, one test per criterion.
 
 Each test prints a visible [PASS]/[FAIL] checklist line (straight to the
 terminal, bypassing capture) and asserts its tolerances and runtime
@@ -6,6 +6,7 @@ bounds internally, so `pytest tests/test_acceptance.py` reads as a
 self-contained verdict on the whole package.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -15,6 +16,7 @@ import mpmath
 import numpy as np
 
 from dutchbook.beliefs import BeliefState, OutcomeSpace
+from dutchbook.cli import main
 from dutchbook.diachronic import (
     TemporalModel,
     build_reflection_dutch_book,
@@ -291,3 +293,37 @@ def test_criterion_10(capsys, rng):
                     if i != j:
                         block = ps[i] @ once.matrix @ ps[j]
                         assert np.abs(block).max() <= 1e-12
+
+
+def test_criterion_11(capsys, tmp_path, seed):
+    with _criterion(capsys, 11, "1024-value strategy audit in under 2 s"):
+        rnd = random.Random(seed)
+        k = 1024
+        qs = [F(v, 8 * k) for v in sorted(rnd.sample(range(1, 8 * k), k))]
+        weights = [rnd.randint(1, 9) for _ in range(k)]
+        star = rnd.randrange(k)
+        shift = min(qs[star], 1 - qs[star]) / 2
+        rows = []
+        for i, (q, w) in enumerate(zip(qs, weights)):
+            mass = F(w, sum(weights))
+            # The starred cell puts half its mass on D with P0(E | D) moved
+            # off its value; every cell as a whole still meets reflection.
+            parts = ([(True, mass / 2, q + shift), (False, mass / 2, q - shift)]
+                     if i == star else [(False, mass, q)])
+            for d, part, cond in parts:
+                for e, share in ((True, cond), (False, 1 - cond)):
+                    rows.append({"q": str(q), "e": e, "d": d,
+                                 "mass": str(part * share)})
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps({"temporal": {
+            "qs": [str(q) for q in qs], "joint": rows,
+            "strategy": {"on": "D", "q": str(qs[star])}}}))
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main(["audit", "--temporal", "--format", "structured", str(path)])
+        elapsed = time.perf_counter() - start
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert report["violations"] == []
+        assert report["strategy"]["forced"] == str(qs[star] + shift)
+        assert elapsed < 2.0

@@ -6,13 +6,16 @@ report with its own exit code).
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import dutchbook
 from dutchbook.cli import main
 from dutchbook.formats import render_structured
 
@@ -312,6 +315,21 @@ def test_demo_quantum_zero_probability_outcome(capsys, tmp_path):
     assert report["post_states"][0] is not None
     assert report["post_states"][1] is None
     assert report["posterior_probs"][1] is None
+
+
+def test_demo_quantum_overflowing_state_prints_one_error_line(tmp_path):
+    # The trace of this finite state overflows; the one error line must
+    # not be preceded by numpy warnings, so run the CLI as a user does.
+    path = tmp_path / "scenario.json"
+    path.write_text(_scenario([[1e308, 0]] * 4))
+    env = dict(os.environ, PYTHONPATH=str(Path(dutchbook.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "dutchbook.cli",
+         "demo-quantum", str(path)],
+        capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("dutchbook: error: scenario.rho0: density operator "
+                           "trace must be 1, got inf+0j\n")
 
 
 def test_demo_quantum_bad_file(capsys):

@@ -1,20 +1,24 @@
 """Temporal models: reflection, the three-leg sure loss, conditioning,
 and Jeffrey updates."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutchbook.beliefs import BeliefState, Event, OutcomeSpace
+from dutchbook.beliefs import BeliefState, Event, OutcomeSpace, as_fraction
 from dutchbook.diachronic import (
+    ConditioningResult,
     NoViolationError,
     PositivityError,
     ReflectionViolationError,
     StrategyNotAdoptedError,
     TemporalModel,
     UndefinedUpdateError,
+    Violation,
+    _three_leg_book,
     build_reflection_dutch_book,
     conditioning_strategy_check,
     goldstein_expectation,
@@ -309,3 +313,136 @@ def test_reflection_models_satisfy_goldstein(cells):
     assert reflection_check(m) == []
     expected = sum(mass * q for q, mass in zip(qs, masses))
     assert goldstein_expectation(m) == expected
+
+
+# ------------------------------------------------ reference (quadratic) audits
+#
+# The two audits below are the earlier cell-by-cell versions, kept verbatim as
+# references: each cell's mass and conditional come from a fresh sum over the
+# whole joint.  The library versions read every cell from one pass and must
+# agree with them exactly.
+
+
+def _reference_reflection_check(m):
+    violations = []
+    e = m.e_event()
+    for i, q in enumerate(m.qs):
+        cell = m.value_event(i)
+        if m.joint.prob(cell) == 0:
+            continue
+        cond = m.joint.cond_prob(e, cell)
+        if cond != q:
+            violations.append(Violation(q, cond, cond - q))
+    return violations
+
+
+def _reference_conditioning_strategy_check(m, declared_q=None):
+    if not m.has_base:
+        raise StrategyNotAdoptedError("model carries no base event to learn")
+    d_event = m.d_event()
+    d_mass = m.joint.prob(d_event)
+    if d_mass == 0:
+        raise StrategyNotAdoptedError("base event has probability zero")
+    certain = [
+        i for i in range(len(m.qs))
+        if m.joint.cond_prob(m.value_event(i), d_event) == 1
+    ]
+    if len(certain) != 1:
+        raise StrategyNotAdoptedError(
+            "joint does not make any single future value certain given the base event"
+        )
+    adopted = m.qs[certain[0]]
+    if declared_q is not None and as_fraction(declared_q) != adopted:
+        raise StrategyNotAdoptedError(
+            f"declared value {declared_q} differs from the encoded value {adopted}"
+        )
+    forced = m.joint.cond_prob(m.e_event(), d_event)
+    if forced == adopted:
+        return ConditioningResult(forced, adopted, None)
+    book = _three_leg_book(d_mass, forced, adopted, "D")
+    return ConditioningResult(forced, adopted, book)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except StrategyNotAdoptedError as exc:
+        return ("refused", str(exc))
+
+
+def _assert_audits_match_reference(m, declared):
+    assert reflection_check(m) == _reference_reflection_check(m)
+    for q in (None, declared):
+        got = _outcome(conditioning_strategy_check, m, q)
+        want = _outcome(_reference_conditioning_strategy_check, m, q)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert (got.forced_q, got.declared_q) == (want.forced_q, want.declared_q)
+        assert (got.portfolio is None) == (want.portfolio is None)
+        if want.portfolio is not None:
+            assert got.portfolio.book == want.portfolio.book
+            assert got.portfolio.legs == want.portfolio.legs
+
+
+def _model(qs, weights, base, star):
+    """A joint over the (cell, e[, d]) keys from integer weights; with a
+    `star` cell, every other cell gets no mass on D (a strategy shape)."""
+    keys = [(i, e) + ((d,) if base else ())
+            for i in range(len(qs)) for e in (True, False)
+            for d in ((True, False) if base else (None,))]
+    weights = [0 if star is not None and key[2] and key[0] != star else w
+               for key, w in zip(keys, weights)]
+    total = sum(weights)
+    if total == 0:
+        weights[0], total = 1, 1
+    return TemporalModel(qs, {key: F(w, total) for key, w in zip(keys, weights)})
+
+
+@st.composite
+def _temporal_models(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    qs = draw(st.lists(_q, min_size=k, max_size=k, unique=True))
+    base = draw(st.booleans())
+    star = draw(st.none() | st.integers(min_value=0, max_value=k - 1)) if base else None
+    size = k * (4 if base else 2)
+    weights = draw(st.lists(st.integers(min_value=0, max_value=4),
+                            min_size=size, max_size=size))
+    return _model(qs, weights, base, star), draw(_q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_temporal_models())
+def test_audits_match_reference_on_small_models(drawn):
+    m, declared = drawn
+    _assert_audits_match_reference(m, declared)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 32, 64, 256])
+def test_audits_match_reference_on_seeded_models(k, seed):
+    rnd = random.Random(seed * 1000 + k)
+    # Reflection holds by construction, some cells empty.
+    qs = [F(v, 8 * k) for v in rnd.sample(range(8 * k + 1), k)]
+    weights = [max(0, rnd.randint(-2, 8)) for _ in range(k - 1)] + [1]
+    m = TemporalModel.from_conditionals(
+        qs, [F(w, sum(weights)) for w in weights], qs)
+    assert reflection_check(m) == []
+    _assert_audits_match_reference(m, qs[0])
+    for base in (False, True):
+        for star in ((None, rnd.randrange(k)) if base else (None,)):
+            denom = 8 * k
+            qs = [F(v, denom) for v in rnd.sample(range(denom + 1), k)]
+            size = k * (4 if base else 2)
+            # About a third of the weights are zero, so some cells are empty.
+            weights = [max(0, rnd.randint(-4, 8)) for _ in range(size)]
+            m = _model(qs, weights, base, star)
+            declared = qs[star] if star is not None else rnd.choice(qs)
+            _assert_audits_match_reference(m, declared)
+            outcome = _outcome(conditioning_strategy_check, m)
+            if star is not None and not isinstance(outcome, tuple) \
+                    and outcome.forced_q not in qs:
+                # Coherent twin: the starred value set to P0(E | D).
+                qs[star] = outcome.forced_q
+                twin = _model(qs, weights, base, star)
+                assert conditioning_strategy_check(twin).coherent
+                _assert_audits_match_reference(twin, outcome.forced_q)

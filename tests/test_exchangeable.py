@@ -197,10 +197,41 @@ def test_pi_bits_cap_is_reachable():
 
 
 def test_pi_bits_match_arbitrary_precision_oracle():
-    n = 256
-    with mpmath.workprec(n + 80):
-        scaled = int(mpmath.floor(mpmath.ldexp(+mpmath.pi - 3, n)))
-    assert str(pi_fractional_bits(n)) == format(scaled, f"0{n}b")
+    for n in (256, 4001, MAX_PI_BITS):
+        with mpmath.workprec(n + 80):
+            scaled = int(mpmath.floor(mpmath.ldexp(+mpmath.pi - 3, n)))
+        assert str(pi_fractional_bits(n)) == format(scaled, f"0{n}b")
+
+
+def _arctan_inv_scaled(x: int, bits: int) -> int:
+    # Alternating series for arctan(1/x) scaled by 2**bits, floor-truncated
+    # term by term; the accumulated truncation stays far below the guard.
+    total = 0
+    power = (1 << bits) // x
+    xsq = x * x
+    j = 0
+    sign = 1
+    while power:
+        total += sign * (power // (2 * j + 1))
+        power //= xsq
+        j += 1
+        sign = -sign
+    return total
+
+
+def _reference_pi_bits(n: int) -> str:
+    """The earlier term-by-term Machin routine, kept as a reference:
+    pi = 16 arctan(1/5) - 4 arctan(1/239) with 64 guard bits."""
+    guard = 64
+    width = n + guard
+    pi_scaled = 16 * _arctan_inv_scaled(5, width) - 4 * _arctan_inv_scaled(239, width)
+    frac = (pi_scaled - (3 << width)) >> guard
+    return format(frac, f"0{n}b")
+
+
+def test_pi_bits_match_machin_reference():
+    for n in range(1, 2001):
+        assert str(pi_fractional_bits(n)) == _reference_pi_bits(n), n
 
 
 def test_pi_bits_prefixes_are_stable():

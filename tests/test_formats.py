@@ -159,6 +159,14 @@ def test_bad_named_event_definition():
         parse_audit_document(_minimal_book(events=["x"]))
     with pytest.raises(AuditFileError, match=r"document\.events\.E: expected a list of atom label strings"):
         parse_audit_document(_minimal_book(events={"E": [1]}))
+    for falsy in (0, "", [], False, None):
+        with pytest.raises(AuditFileError, match=r"document\.events: expected an object"):
+            parse_audit_document(_minimal_book(events=falsy))
+    no_events = _minimal_book(assessments=[
+        {"type": "unconditional", "event": ["x"], "price": "1/2"}])
+    del no_events["events"]
+    for data in (no_events, dict(no_events, events={})):
+        assert parse_audit_document(data).book.space.atoms == ("x", "y")
 
 
 def test_temporal_rows_validated():
@@ -186,6 +194,33 @@ def test_temporal_rows_validated():
     bad = dict(base, joint=[{"q": "1/2", "e": True, "d": 1, "mass": "1"}])
     with pytest.raises(AuditFileError, match=r"joint\[0\]\.d"):
         parse_audit_document({"temporal": bad})
+
+
+def test_temporal_row_values_match_qs_by_value():
+    rows = [{"q": "0.5", "e": True, "mass": "1/4"},
+            {"q": "2/4", "e": False, "mass": "1/4"},
+            {"q": "0.25", "e": True, "mass": "1/8"},
+            {"q": "1/4", "e": False, "mass": "3/8"}]
+    m = parse_audit_document({"temporal": {"qs": ["1/2", "1/4"],
+                                           "joint": rows}}).temporal
+    assert m.qs == (F(1, 2), F(1, 4))
+    assert (m.value_mass(0), m.value_mass(1)) == (F(1, 2), F(1, 2))
+    assert m.joint.pmf == (F(1, 4), F(1, 4), F(1, 8), F(3, 8))
+
+    same_cell = [{"q": "1/2", "e": True, "mass": "1/2"},
+                 {"q": "0.5", "e": True, "mass": "1/2"}]
+    with pytest.raises(AuditFileError, match=r"joint\[1\]: duplicate"):
+        parse_audit_document({"temporal": {"qs": ["1/2"], "joint": same_cell}})
+
+
+def test_duplicate_temporal_values_refused():
+    rows = [{"q": "0.5", "e": True, "mass": "1/2"},
+            {"q": "1/2", "e": False, "mass": "1/2"}]
+    for qs in (["1/2", "0.5"], ["1/2", "1/3", "2/4"]):
+        with pytest.raises(AuditFileError) as exc:
+            parse_audit_document({"temporal": {"qs": qs, "joint": rows}})
+        assert str(exc.value) == ("document.temporal.joint: candidate "
+                                  "future values must be distinct")
 
 
 def test_temporal_masses_must_sum_to_one():

@@ -1,5 +1,7 @@
 """Tests for the two-time quantum measurement scenario."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,30 @@ def test_instrument_validation():
         Instrument(((np.sqrt(0.5) * EYE2,),))
     with pytest.raises(DimensionMismatchError):
         Instrument(((EYE2,), (np.eye(3, dtype=complex),)))
+
+
+def test_overflowing_checks_fail_without_warnings():
+    # Finite entries whose sums or products overflow: each check value is
+    # inf or NaN, which must fail the check, and numpy must stay silent.
+    big = np.diag([1e308, 1e308]).astype(complex)
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    cases = [
+        (ValueError, "trace must be 1, got inf",
+         lambda: DensityOperator(np.full((2, 2), 1e308, dtype=complex))),
+        (ValueError, "trace must be 1, got nan",
+         lambda: DensityOperator(np.diag([1e308, 1e308, -1e308, -1e308]))),
+        # K†K has entries inf and NaN; a NaN residual used to pass.
+        (NotTracePreservingError, "identity",
+         lambda: Instrument(((np.diag([1e200 + 1e200j, 0.0]),),))),
+        (ValueError, "sum to the identity", lambda: Povm((big, big))),
+        (ProjectorFamilyError, "idempotent",
+         lambda: lueders_instrument((1e308 * p0, EYE2 - p0))),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for error, message, build in cases:
+            with pytest.raises(error, match=message):
+                build()
 
 
 def test_instrument_shape_properties():

@@ -7,6 +7,10 @@ back with an explicit portfolio of transactions losing money in every
 possible world.  The exchangeable-prior and quantum modules carry the two
 worked scenarios: betting on the bits of pi, and reading a "decohered"
 predictive state off the reflection principle.
+
+Only the quantum module needs numpy.  Its names are resolved on first
+access (PEP 562), so `import dutchbook` and the exact-arithmetic audits
+never load numpy.
 """
 
 from .beliefs import (
@@ -54,28 +58,6 @@ from .formats import (
     parse_quantum_scenario,
     render_structured,
 )
-from .quantum import (
-    DensityOperator,
-    DimensionMismatchError,
-    InconsistentProbabilitiesError,
-    Instrument,
-    NotInformationallyCompleteError,
-    NotTracePreservingError,
-    Povm,
-    ProjectorFamilyError,
-    QuantumError,
-    ZeroProbabilityOutcomeError,
-    decohered_state,
-    first_outcome_probs,
-    is_informationally_complete,
-    lueders_decohere,
-    lueders_instrument,
-    outcome_probs,
-    post_state,
-    reconstruct_state,
-    reflection_prob,
-    tetrahedron_povm,
-)
 from .synchronic import (
     Assessment,
     CoherenceResult,
@@ -90,6 +72,16 @@ from .synchronic import (
 )
 
 __version__ = "0.1.0"
+
+_QUANTUM_NAMES = (
+    "DensityOperator", "Instrument", "Povm", "QuantumError",
+    "DimensionMismatchError", "NotTracePreservingError",
+    "ZeroProbabilityOutcomeError", "ProjectorFamilyError",
+    "NotInformationallyCompleteError", "InconsistentProbabilitiesError",
+    "first_outcome_probs", "post_state", "outcome_probs", "reflection_prob",
+    "decohered_state", "lueders_instrument", "lueders_decohere",
+    "is_informationally_complete", "reconstruct_state", "tetrahedron_povm",
+)
 
 __all__ = [
     "__version__",
@@ -110,16 +102,17 @@ __all__ = [
     "MixingDensity", "BetaComponent", "BitString", "ScenarioReport",
     "MAX_PI_BITS", "prior_predictive", "posterior", "predictive_next",
     "pi_fractional_bits", "scenario_report",
-    # quantum
-    "DensityOperator", "Instrument", "Povm", "QuantumError",
-    "DimensionMismatchError", "NotTracePreservingError",
-    "ZeroProbabilityOutcomeError", "ProjectorFamilyError",
-    "NotInformationallyCompleteError", "InconsistentProbabilitiesError",
-    "first_outcome_probs", "post_state", "outcome_probs", "reflection_prob",
-    "decohered_state", "lueders_instrument", "lueders_decohere",
-    "is_informationally_complete", "reconstruct_state", "tetrahedron_povm",
+    # quantum, loaded on first access
+    *_QUANTUM_NAMES,
     # formats
     "AuditDocument", "AuditFileError", "QuantumScenario",
     "load_audit_file", "load_quantum_file", "parse_audit_document",
     "parse_quantum_scenario", "render_structured",
 ]
+
+
+def __getattr__(name: str):
+    if name in _QUANTUM_NAMES:
+        from . import quantum
+        return getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

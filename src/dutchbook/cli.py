@@ -3,7 +3,8 @@
 Subcommands: `audit` (synchronic or temporal coherence audit of a file),
 `demo-reflection` (the worked three-transaction sure loss), `demo-polarization`
 (the bit-sequence betting comparison), `demo-quantum` (two-time measurement
-scenario from a file).
+scenario from a file).  Only `demo-quantum` needs numpy: its handler imports
+the quantum module on demand, so the other subcommands never load numpy.
 
 Exit codes are the only verdict channel: 0 for coherent/successful runs,
 2 for detected incoherence, 1 for input errors.  `--format` selects the
@@ -32,15 +33,6 @@ from .formats import (
     load_quantum_file,
     matrix_to_pairs,
     render_structured,
-)
-from .quantum import (
-    QuantumError,
-    ZeroProbabilityOutcomeError,
-    decohered_state,
-    first_outcome_probs,
-    outcome_probs,
-    post_state,
-    reflection_prob,
 )
 from .synchronic import (
     Portfolio,
@@ -354,22 +346,35 @@ def _matrix_lines(matrix, indent: str = "  ") -> list[str]:
 
 
 def _cmd_demo_quantum(args) -> tuple[int, dict, str]:
+    from .quantum import (
+        QuantumError,
+        ZeroProbabilityOutcomeError,
+        decohered_state,
+        first_outcome_probs,
+        outcome_probs,
+        post_state,
+        reflection_prob,
+    )
+
     sc = load_quantum_file(args.file)
-    p0 = first_outcome_probs(sc.instrument, sc.rho0)
-    posts = []
-    posteriors = []
-    for i in range(len(p0)):
-        try:
-            rho_tau = post_state(sc.instrument, i, sc.rho0)
-        except ZeroProbabilityOutcomeError:
-            rho_tau = None
-        posts.append(rho_tau)
-        posteriors.append(None if rho_tau is None
-                          else outcome_probs(sc.povm, rho_tau))
-    refl = reflection_prob(sc.instrument, sc.povm, sc.rho0)
-    direct = outcome_probs(sc.povm, sc.rho0)
-    rho_dec = decohered_state(sc.instrument, sc.rho0)
-    cross = outcome_probs(sc.povm, rho_dec)
+    try:
+        p0 = first_outcome_probs(sc.instrument, sc.rho0)
+        posts = []
+        posteriors = []
+        for i in range(len(p0)):
+            try:
+                rho_tau = post_state(sc.instrument, i, sc.rho0)
+            except ZeroProbabilityOutcomeError:
+                rho_tau = None
+            posts.append(rho_tau)
+            posteriors.append(None if rho_tau is None
+                              else outcome_probs(sc.povm, rho_tau))
+        refl = reflection_prob(sc.instrument, sc.povm, sc.rho0)
+        direct = outcome_probs(sc.povm, sc.rho0)
+        rho_dec = decohered_state(sc.instrument, sc.rho0)
+        cross = outcome_probs(sc.povm, rho_dec)
+    except QuantumError as exc:
+        raise AuditFileError(str(exc)) from None
 
     report = {
         "kind": "quantum-demo",
@@ -416,7 +421,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, report, text = _HANDLERS[args.command](args)
-    except (AuditFileError, QuantumError) as exc:
+    except AuditFileError as exc:
         print(f"dutchbook: error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     if args.report:

@@ -18,14 +18,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .beliefs import BeliefState, Event, OutcomeSpace, as_fraction
+from .beliefs import Event, OutcomeSpace, as_fraction
 from .diachronic import TemporalModel
-from .quantum import DensityOperator, Instrument, Povm
 from .synchronic import Assessment, PriceBook
+
+if TYPE_CHECKING:  # numpy and the quantum module load only on the quantum path
+    import numpy as np
+
+    from .quantum import DensityOperator, Instrument, Povm
 
 __all__ = [
     "AuditFileError",
@@ -152,6 +154,9 @@ def _parse_temporal(data: dict, field: str) -> tuple[TemporalModel, Fraction | N
     position: dict[Fraction, int] = {}
     for i, q in enumerate(qs):
         position.setdefault(q, i)
+    # A row spelling its q as one of the qs strings already parsed is
+    # looked up by that string; any other spelling is parsed and checked.
+    spelled = {raw: position[q] for raw, q in zip(raw_qs, qs)}
 
     raw_rows = _get(data, "joint", field)
     if not isinstance(raw_rows, list) or not raw_rows:
@@ -159,10 +164,13 @@ def _parse_temporal(data: dict, field: str) -> tuple[TemporalModel, Fraction | N
     joint: dict[tuple, Fraction] = {}
     for i, row in enumerate(raw_rows):
         here = f"{field}.joint[{i}]"
-        q = _as_frac(_get(row, "q", here), f"{here}.q")
-        cell = position.get(q)
+        raw_q = _get(row, "q", here)
+        cell = spelled.get(raw_q) if isinstance(raw_q, str) else None
         if cell is None:
-            _fail(f"{here}.q", f"value {q} is not listed in qs")
+            q = _as_frac(raw_q, f"{here}.q")
+            cell = position.get(q)
+            if cell is None:
+                _fail(f"{here}.q", f"value {q} is not listed in qs")
         e = _get(row, "e", here)
         if not isinstance(e, bool):
             _fail(f"{here}.e", "expected true or false")
@@ -224,10 +232,14 @@ def load_audit_file(path: str) -> AuditDocument:
 
 def matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
     """Row-major [re, im] pairs for one square complex matrix."""
+    import numpy as np
+
     return [[float(z.real), float(z.imag)] for z in np.asarray(matrix).reshape(-1)]
 
 
 def matrix_from_pairs(pairs: Any, dim: int, field: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(pairs, list) or len(pairs) != dim * dim:
         _fail(field, f"expected {dim * dim} [re, im] pairs (row-major)")
     values = []
@@ -253,6 +265,8 @@ class QuantumScenario:
 
 
 def parse_quantum_scenario(data: Any) -> QuantumScenario:
+    from .quantum import DensityOperator, Instrument, Povm
+
     if not isinstance(data, dict):
         _fail("scenario", "top level must be a JSON object")
     dim = _get(data, "dim", "scenario")

@@ -353,12 +353,14 @@ def is_informationally_complete(pov: Povm) -> bool:
     return int(np.linalg.matrix_rank(frame_matrix(pov))) == d * d
 
 
+@_quiet
 def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     """The unique density operator with tr(E_j rho) = probs[j].
 
     Least-squares linear inversion on the effect frame.  Refuses non-IC
     POVMs (the operator would not be unique) and probability lists no
-    state reproduces (residual above `RECONSTRUCT_TOL`).
+    state reproduces: a non-finite probability, or a residual above
+    `RECONSTRUCT_TOL` or overflowing to inf or NaN.
     """
     if len(probs) != pov.n_outcomes:
         raise ValueError(
@@ -366,16 +368,19 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     if not is_informationally_complete(pov):
         raise NotInformationallyCompleteError(
             "effects are rank-deficient; the state is not determined")
+    target = np.asarray(probs, dtype=complex)
+    if not np.isfinite(target).all():
+        raise InconsistentProbabilitiesError(
+            "no state matches probabilities that are not finite")
     d = pov.dim
     frame = frame_matrix(pov)
-    target = np.asarray(probs, dtype=complex)
     vec, *_ = np.linalg.lstsq(frame, target, rcond=None)
     residual = float(np.abs(frame @ vec - target).max())
-    if residual > RECONSTRUCT_TOL:
+    if not residual <= RECONSTRUCT_TOL:
         raise InconsistentProbabilitiesError(
             f"no state matches the probabilities (residual {residual:.3g})")
     rho = vec.reshape(d, d)
-    rho = (rho + rho.conj().T) / 2
+    rho = rho / 2 + rho.conj().T / 2
     return DensityOperator(rho)
 
 

@@ -19,13 +19,20 @@ import dutchbook
 from dutchbook.cli import main
 from dutchbook.formats import render_structured
 
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
 
 
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _spawn(*argv) -> subprocess.CompletedProcess:
+    """Run a command whose Python imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dutchbook.__file__).parents[1]))
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 # ---------------------------------------------------------------------- audit
@@ -133,8 +140,8 @@ _TEMPORAL = ('{"temporal": {"qs": [%s], "joint": [{"q": "1/2", "e": true, '
 _Z0, _Z1 = [[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]
 
 
-def _scenario(rho0):
-    return json.dumps({"dim": 2, "rho0": rho0, "instrument": [[_Z0], [_Z1]],
+def _scenario(rho0, instrument=([_Z0], [_Z1])):
+    return json.dumps({"dim": 2, "rho0": rho0, "instrument": instrument,
                        "povm": [_Z0, _Z1]})
 
 
@@ -147,10 +154,11 @@ def _scenario(rho0):
     (["audit", "--temporal"], _TEMPORAL % ('"1/2"', "true"), "joint[0].mass"),
     (["demo-quantum"], _scenario([[float("nan")] * 2] * 4), "NaN"),
     (["demo-quantum"], _scenario([[True, False]] + _Z0[1:]), "rho0[0]"),
+    (["demo-quantum"], _scenario(_Z0, [[_Z0]]), "sum K†K = identity"),
     (["audit"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
 ], ids=["zero-denominator", "huge-exponent", "bool-price", "events-list",
         "zero-denominator-q", "bool-mass", "nan-state", "bool-entry",
-        "deep-nesting"])
+        "not-trace-preserving", "deep-nesting"])
 def test_malformed_documents_exit_one(capsys, tmp_path, argv, text, field):
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -322,11 +330,8 @@ def test_demo_quantum_overflowing_state_prints_one_error_line(tmp_path):
     # not be preceded by numpy warnings, so run the CLI as a user does.
     path = tmp_path / "scenario.json"
     path.write_text(_scenario([[1e308, 0]] * 4))
-    env = dict(os.environ, PYTHONPATH=str(Path(dutchbook.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "dutchbook.cli",
-         "demo-quantum", str(path)],
-        capture_output=True, text=True, env=env)
+    done = _spawn(sys.executable, "-W", "default", "-m", "dutchbook.cli",
+                  "demo-quantum", str(path))
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == ("dutchbook: error: scenario.rho0: density operator "
                            "trace must be 1, got inf+0j\n")
@@ -337,6 +342,58 @@ def test_demo_quantum_bad_file(capsys):
                         str(SAMPLES / "coherent_book.json"))
     assert code == 1
     assert "scenario" in err
+
+
+def test_demo_quantum_error_in_a_computation_exits_one(capsys, monkeypatch):
+    import dutchbook.quantum
+
+    def mismatch(*args):
+        raise dutchbook.quantum.DimensionMismatchError("dimension mismatch")
+
+    monkeypatch.setattr(dutchbook.quantum, "reflection_prob", mismatch)
+    code, out, err = _run(capsys, "demo-quantum",
+                          str(SAMPLES / "qubit_z_then_x.json"))
+    assert (code, out, err) == (1, "", "dutchbook: error: dimension mismatch\n")
+
+
+# ------------------------------------------------------------- lazy numpy
+
+# Prints, as the interpreter exits, whether numpy was ever imported.
+_REPORT_NUMPY = ("import atexit, sys\n"
+                 "atexit.register(lambda: print('numpy' in sys.modules, "
+                 "file=sys.stderr))\n")
+_RUN_CLI = "import runpy\nrunpy.run_module('dutchbook.cli', run_name='__main__')"
+
+
+@pytest.mark.parametrize("statement, argv, code, numpy_loaded", [
+    ("import dutchbook", [], 0, False),
+    ("import dutchbook.cli", [], 0, False),
+    (_RUN_CLI, ["audit", str(SAMPLES / "coherent_book.json")], 0, False),
+    (_RUN_CLI, ["audit", "--temporal",
+                str(SAMPLES / "temporal_reflection_violation.json")], 2, False),
+    (_RUN_CLI, ["demo-reflection"], 2, False),
+    (_RUN_CLI, ["demo-polarization"], 0, False),
+    # The quantum subcommand does load it, which shows the probe works.
+    (_RUN_CLI, ["demo-quantum", str(SAMPLES / "qubit_z_then_x.json")], 0, True),
+], ids=["import-package", "import-cli", "audit", "audit-temporal",
+        "demo-reflection", "demo-polarization", "demo-quantum"])
+def test_numpy_loads_only_on_the_quantum_path(statement, argv, code,
+                                              numpy_loaded):
+    done = _spawn(sys.executable, "-c", _REPORT_NUMPY + statement, *argv)
+    assert done.returncode == code, done.stderr
+    assert done.stderr == f"{numpy_loaded}\n"
+
+
+def test_every_public_name_resolves():
+    for name in dutchbook.__all__:
+        assert getattr(dutchbook, name) is not None, name
+    namespace = {}
+    exec("from dutchbook import *", namespace)
+    assert set(dutchbook.__all__) <= set(namespace)
+    from dutchbook.quantum import DensityOperator
+    assert dutchbook.DensityOperator is DensityOperator
+    with pytest.raises(AttributeError, match="no attribute 'nowhere'"):
+        dutchbook.nowhere
 
 
 # --------------------------------------------------------------------- report
@@ -370,14 +427,25 @@ def test_report_unwritable_path(capsys, tmp_path):
 # ------------------------------------------------------------- installed entry
 
 
-def test_console_script_round_trip(tmp_path):
+def _console_script() -> list[str]:
+    """The installed `dutchbook` script, or, where it is not installed, an
+    interpreter calling the `module:function` that pyproject.toml names."""
     exe = shutil.which("dutchbook")
-    if exe is None:
-        pytest.skip("console script not installed")
-    done = subprocess.run([exe, "audit", str(SAMPLES / "coherent_book.json")],
-                          capture_output=True, text=True)
+    if exe is not None:
+        return [exe]
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["dutchbook"]
+    module, function = target.split(":")
+    return [sys.executable, "-c",
+            f"import sys; from {module} import {function}; "
+            f"sys.exit({function}())"]
+
+
+def test_console_script_round_trip():
+    script = _console_script()
+    done = _spawn(*script, "audit", str(SAMPLES / "coherent_book.json"))
     assert done.returncode == 0
     assert "verdict: coherent" in done.stdout
-    done = subprocess.run([exe, "audit", str(SAMPLES / "incoherent_book.json")],
-                          capture_output=True, text=True)
+    done = _spawn(*script, "audit", str(SAMPLES / "incoherent_book.json"))
     assert done.returncode == 2

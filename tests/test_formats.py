@@ -213,6 +213,29 @@ def test_temporal_row_values_match_qs_by_value():
         parse_audit_document({"temporal": {"qs": ["1/2"], "joint": same_cell}})
 
 
+@pytest.mark.parametrize("qs, q, error", [
+    (["1"], 1, None),
+    ([1], "1", None),
+    (["1/2"], ["1/2"], "expected Fraction, int, or exact string, got list"),
+    (["1/2"], True, "expected Fraction, int, or exact string, got bool"),
+    (["1/2"], "1/" + "2" * 1000, "exact string longer than 1000 characters"),
+    (["1/2"], "1e-5000", "decimal exponent"),
+])
+def test_temporal_row_q_in_any_spelling_is_checked(qs, q, error):
+    # Rows repeating a qs string are matched by the string; every other
+    # spelling is parsed and checked as the qs themselves are.
+    rows = [{"q": q, "e": True, "mass": "1/2"},
+            {"q": qs[0], "e": False, "mass": "1/2"}]
+    data = {"temporal": {"qs": qs, "joint": rows}}
+    if error is None:
+        assert parse_audit_document(data).temporal.joint.pmf == (F(1, 2),) * 2
+        return
+    with pytest.raises(AuditFileError) as exc:
+        parse_audit_document(data)
+    assert str(exc.value).startswith("document.temporal.joint[0].q: ")
+    assert error in str(exc.value)
+
+
 def test_duplicate_temporal_values_refused():
     rows = [{"q": "0.5", "e": True, "mass": "1/2"},
             {"q": "1/2", "e": False, "mass": "1/2"}]

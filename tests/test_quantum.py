@@ -381,6 +381,19 @@ def test_reconstruct_rejects_negative_state():
         reconstruct_state(tetrahedron_povm(), [1.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("probs, message", [
+    # Finite, but the residual overflows to NaN, which used to pass the
+    # tolerance test and reach the state check with numpy warnings.
+    ([1e308, 1e308, -1e308, 0.0], "residual nan"),
+    ([float("nan")] * 4, "not finite"),
+    ([float("inf"), 0.0, 0.0, 0.0], "not finite"),
+], ids=["overflowing", "nan", "inf"])
+def test_reconstruct_refuses_non_finite_work_without_warnings(probs, message):
+    # The suite turns every RuntimeWarning into an error.
+    with pytest.raises(InconsistentProbabilitiesError, match=message):
+        reconstruct_state(tetrahedron_povm(), probs)
+
+
 # ------------------------------------------------------------ fixed ensembles
 
 

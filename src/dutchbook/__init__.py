@@ -5,8 +5,9 @@ Synchronic and diachronic (temporal) probability assignments are checked
 for coherence in exact rational arithmetic; incoherent assignments come
 back with an explicit portfolio of transactions losing money in every
 possible world.  The exchangeable-prior and quantum modules carry the two
-worked scenarios: betting on the bits of pi, and reading a "decohered"
-predictive state off the reflection principle.
+worked scenarios: betting on the bits of pi with the exact uniform-prior
+predictive, and reading a "decohered" predictive state off the reflection
+principle.
 
 Only the quantum module needs numpy.  Its names are resolved on first
 access (PEP 562), so `import dutchbook` and the exact-arithmetic audits
@@ -25,27 +26,19 @@ from .diachronic import (
     ConditioningResult,
     NoViolationError,
     PositivityError,
-    ReflectionViolationError,
     StrategyNotAdoptedError,
     TemporalModel,
-    UndefinedUpdateError,
     Violation,
     build_reflection_dutch_book,
     conditioning_strategy_check,
-    goldstein_expectation,
-    jeffrey_update,
     reflection_check,
 )
 from .exchangeable import (
     MAX_PI_BITS,
-    BetaComponent,
     BitString,
-    MixingDensity,
     ScenarioReport,
     pi_fractional_bits,
-    posterior,
     predictive_next,
-    prior_predictive,
     scenario_report,
 )
 from .formats import (
@@ -94,13 +87,10 @@ __all__ = [
     "check_coherence", "build_dutch_book", "settle",
     # diachronic
     "TemporalModel", "Violation", "ConditioningResult", "PositivityError",
-    "NoViolationError", "ReflectionViolationError", "StrategyNotAdoptedError",
-    "UndefinedUpdateError", "reflection_check", "goldstein_expectation",
+    "NoViolationError", "StrategyNotAdoptedError", "reflection_check",
     "build_reflection_dutch_book", "conditioning_strategy_check",
-    "jeffrey_update",
     # exchangeable
-    "MixingDensity", "BetaComponent", "BitString", "ScenarioReport",
-    "MAX_PI_BITS", "prior_predictive", "posterior", "predictive_next",
+    "BitString", "ScenarioReport", "MAX_PI_BITS", "predictive_next",
     "pi_fractional_bits", "scenario_report",
     # quantum, loaded on first access
     *_QUANTUM_NAMES,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 __all__ = [
     "MAX_ATOMS",
@@ -106,12 +106,6 @@ class OutcomeSpace:
         """Event containing the named atoms."""
         return Event(self, frozenset(self.index(lab) for lab in labels))
 
-    def full_event(self) -> Event:
-        return Event(self, frozenset(range(self.size)))
-
-    def empty_event(self) -> Event:
-        return Event(self, frozenset())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, OutcomeSpace) and self.atoms == other.atoms
 
@@ -165,14 +159,6 @@ class BeliefState:
         if sum(pmf) != 1:
             raise ValueError(f"pmf masses must sum to exactly 1, got {sum(pmf)}")
         object.__setattr__(self, "pmf", pmf)
-
-    @classmethod
-    def uniform(cls, space: OutcomeSpace) -> BeliefState:
-        return cls(space, (Fraction(1, space.size),) * space.size)
-
-    @classmethod
-    def from_map(cls, space: OutcomeSpace, pmf: Mapping[str, Rational]) -> BeliefState:
-        return cls(space, tuple(as_fraction(pmf.get(a, 0)) for a in space.atoms))
 
     def prob(self, e: Event) -> Fraction:
         """Probability of the event: the sum of its atoms' masses."""

@@ -7,18 +7,21 @@ scenario from a file).  Only `demo-quantum` needs numpy: its handler imports
 the quantum module on demand, so the other subcommands never load numpy.
 
 Exit codes are the only verdict channel: 0 for coherent/successful runs,
-2 for detected incoherence, 1 for input errors.  `--format` selects the
-human-readable text or the canonical structured report; `--report` writes
-the structured report to a file regardless of the console format.
+2 for detected incoherence, 1 for input errors.  Each handler returns its
+exit code and one report; `--format` selects the human-readable text,
+rendered from the report by its `kind`, or the canonical structured
+report; `--report` writes the structured report to a file regardless of
+the console format.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
-from .beliefs import BeliefState, Event
+from .beliefs import Event
 from .diachronic import (
     StrategyNotAdoptedError,
     TemporalModel,
@@ -111,33 +114,22 @@ def _exact(value: Fraction) -> str:
             "limit allows; it cannot be printed") from None
 
 
-def _witness_rows(witness: BeliefState) -> dict[str, str]:
-    return {label: _exact(mass)
-            for label, mass in zip(witness.space.atoms, witness.pmf)}
-
-
 def _losses(portfolio: Portfolio) -> dict[str, str]:
     return {label: _exact(settle(portfolio, label))
             for label in portfolio.book.space.atoms}
 
 
-def _synchronic_audit(book: PriceBook) -> tuple[int, dict, str]:
+def _synchronic_audit(book: PriceBook) -> tuple[int, dict]:
     result = check_coherence(book)
-    lines = []
     if result.coherent:
-        report = {
+        return OK, {
             "kind": "synchronic-audit",
             "verdict": "coherent",
-            "witness": _witness_rows(result.witness),
+            "witness": {label: _exact(mass) for label, mass
+                        in zip(book.space.atoms, result.witness.pmf)},
             "portfolio": None,
             "losses": None,
         }
-        lines.append("verdict: coherent")
-        lines.append("witness probability for each atom:")
-        for label, mass in report["witness"].items():
-            lines.append(f"  {label:<20} {mass}")
-        return OK, report, "\n".join(lines) + "\n"
-
     portfolio = build_dutch_book(book, result.certificate)
     legs = [
         {
@@ -148,23 +140,13 @@ def _synchronic_audit(book: PriceBook) -> tuple[int, dict, str]:
         }
         for leg in portfolio.legs
     ]
-    losses = _losses(portfolio)
-    report = {
+    return INCOHERENT, {
         "kind": "synchronic-audit",
         "verdict": "incoherent",
         "witness": None,
         "portfolio": legs,
-        "losses": losses,
+        "losses": _losses(portfolio),
     }
-    lines.append("verdict: incoherent")
-    lines.append("sure-loss portfolio:")
-    for leg in legs:
-        lines.append(f"  {leg['direction']:<4} {leg['quantity']:>8} of "
-                     f"{leg['description']}")
-    lines.append("settlement by atom (negative = agent loss):")
-    for label, amount in losses.items():
-        lines.append(f"  {label:<20} {amount}")
-    return INCOHERENT, report, "\n".join(lines) + "\n"
 
 
 def _branch_name(event: Event) -> str:
@@ -194,20 +176,8 @@ def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
     return rows
 
 
-def _portfolio_lines(rows: list[dict], losses: dict[str, str]) -> list[str]:
-    lines = ["sure-loss portfolio:"]
-    for row in rows:
-        lines.append(f"  {row['time']:<6} {row['trigger']:<12} "
-                     f"{row['direction']:<5} {row['ticket']:<46} "
-                     f"price {row['price']}")
-    lines.append("realized per branch (negative = agent loss):")
-    for branch, amount in losses.items():
-        lines.append(f"  {branch:<8} {amount}")
-    return lines
-
-
 def _temporal_audit(model: TemporalModel,
-                    declared_q: Fraction | None) -> tuple[int, dict, str]:
+                    declared_q: Fraction | None) -> tuple[int, dict]:
     violations = reflection_check(model)
     strategy = None
     strategy_book = None
@@ -225,42 +195,23 @@ def _temporal_audit(model: TemporalModel,
 
     portfolio = (build_reflection_dutch_book(model, violations[0].q)
                  if violations else strategy_book)
-    rows = _portfolio_rows(portfolio) if portfolio else None
-    losses = _losses(portfolio) if portfolio else None
-    verdict = "incoherent" if portfolio else "coherent"
     report = {
         "kind": "temporal-audit",
-        "verdict": verdict,
+        "verdict": "incoherent" if portfolio else "coherent",
         "violations": [
             {"q": _exact(v.q), "conditional": _exact(v.conditional),
              "gap": _exact(v.gap)}
             for v in violations
         ],
-        "portfolio": rows,
-        "losses": losses,
+        "portfolio": _portfolio_rows(portfolio) if portfolio else None,
+        "losses": _losses(portfolio) if portfolio else None,
     }
     if strategy is not None:
         report["strategy"] = strategy
-
-    lines = [f"verdict: {verdict}"]
-    if violations:
-        lines.append("reflection violations:")
-        for v in report["violations"]:
-            lines.append(f"  announced {v['q']}: time-zero conditional "
-                         f"{v['conditional']}, gap {v['gap']}")
-    else:
-        lines.append("no reflection violations")
-    if strategy is not None:
-        lines.append(f"conditioning strategy on D: declared "
-                     f"{strategy['declared']}, coherence forces "
-                     f"{strategy['forced']}")
-    if portfolio:
-        lines.extend(_portfolio_lines(rows, losses))
-    code = INCOHERENT if portfolio else OK
-    return code, report, "\n".join(lines) + "\n"
+    return (INCOHERENT if portfolio else OK), report
 
 
-def _cmd_audit(args) -> tuple[int, dict, str]:
+def _cmd_audit(args) -> tuple[int, dict]:
     doc = load_audit_file(args.file)
     if args.temporal:
         if doc.temporal is None:
@@ -274,31 +225,26 @@ def _cmd_audit(args) -> tuple[int, dict, str]:
     return _synchronic_audit(doc.book)
 
 
-def _cmd_demo_reflection(args) -> tuple[int, dict, str]:
-    # Announced future value 1/2 held with probability 2/5, while the
-    # time-zero conditional is 7/10; the rest of the mass sits on a
-    # companion value that satisfies reflection exactly.
-    mass = Fraction(2, 5)
-    declared = Fraction(1, 2)
-    conditional = Fraction(7, 10)
+# The worked reflection demo: announced future value 1/2 held with
+# probability 2/5, while the time-zero conditional is 7/10; the rest of the
+# mass sits on a companion value that satisfies reflection exactly.
+_DEMO_MASS = Fraction(2, 5)
+_DEMO_DECLARED = Fraction(1, 2)
+_DEMO_CONDITIONAL = Fraction(7, 10)
+
+
+def _cmd_demo_reflection(args) -> tuple[int, dict]:
     model = TemporalModel.from_conditionals(
-        qs=(declared, Fraction(1, 4)),
-        masses=(mass, 1 - mass),
-        e_given_q=(conditional, Fraction(1, 4)),
+        qs=(_DEMO_DECLARED, Fraction(1, 4)),
+        masses=(_DEMO_MASS, 1 - _DEMO_MASS),
+        e_given_q=(_DEMO_CONDITIONAL, Fraction(1, 4)),
     )
-    code, report, _ = _temporal_audit(model, None)
+    code, report = _temporal_audit(model, None)
     report["kind"] = "reflection-demo"
-    lines = [
-        f"setup: P0(Q) = {mass} that tomorrow's value for E is {declared}; "
-        f"time-zero conditional P0(E|Q) = {conditional}",
-        f"gap d = {conditional - declared}",
-    ]
-    lines.extend(_portfolio_lines(report["portfolio"], report["losses"]))
-    lines.append("verdict: incoherent (sure loss on every branch)")
-    return code, report, "\n".join(lines) + "\n"
+    return code, report
 
 
-def _cmd_demo_polarization(args) -> tuple[int, dict, str]:
+def _cmd_demo_polarization(args) -> tuple[int, dict]:
     try:
         if args.bits:
             with open(args.bits, encoding="utf-8") as fh:
@@ -313,39 +259,12 @@ def _cmd_demo_polarization(args) -> tuple[int, dict, str]:
     except ValueError as exc:
         raise AuditFileError(str(exc)) from None
 
-    report = {
-        "kind": "polarization-demo",
-        "n": result.n,
-        "zeros": result.zeros,
-        "ones": result.ones,
-        "conditioning_next_zero": result.conditioning_next_zero,
-        "maverick_q": result.maverick_q,
-        "conditioning_coherent": result.conditioning_coherent,
-        "maverick_coherent": result.maverick_coherent,
-    }
-    exact = Fraction(result.zeros + 1, result.n + 2)
-    lines = [
-        f"observed {result.n} bits: {result.zeros} zeros, {result.ones} ones",
-        f"conditioning rule, next bit is 0: {result.conditioning_next_zero:.12g}"
-        f" (= {exact})",
-        f"maverick value: {result.maverick_q:.12g}",
-        "synchronic audit at betting time: conditioning "
-        f"{'coherent' if result.conditioning_coherent else 'incoherent'}, "
-        f"maverick {'coherent' if result.maverick_coherent else 'incoherent'}",
-    ]
     both_ok = result.conditioning_coherent and result.maverick_coherent
-    return (OK if both_ok else INCOHERENT), report, "\n".join(lines) + "\n"
+    return (OK if both_ok else INCOHERENT), {"kind": "polarization-demo",
+                                             **asdict(result)}
 
 
-def _matrix_lines(matrix, indent: str = "  ") -> list[str]:
-    lines = []
-    for row in matrix:
-        cells = ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row)
-        lines.append(f"{indent}[{cells}]")
-    return lines
-
-
-def _cmd_demo_quantum(args) -> tuple[int, dict, str]:
+def _cmd_demo_quantum(args) -> tuple[int, dict]:
     from .quantum import (
         QuantumError,
         ZeroProbabilityOutcomeError,
@@ -376,7 +295,7 @@ def _cmd_demo_quantum(args) -> tuple[int, dict, str]:
     except QuantumError as exc:
         raise AuditFileError(str(exc)) from None
 
-    report = {
+    return OK, {
         "kind": "quantum-demo",
         "dim": sc.rho0.dim,
         "first_probs": p0,
@@ -389,24 +308,128 @@ def _cmd_demo_quantum(args) -> tuple[int, dict, str]:
         "crosscheck": cross,
     }
 
+
+# One text renderer per report kind; each reads nothing but its report
+# (and, for the reflection demo, the demo's fixed setup).
+
+
+def _synchronic_text(report: dict) -> list[str]:
+    lines = [f"verdict: {report['verdict']}"]
+    if report["witness"] is not None:
+        lines.append("witness probability for each atom:")
+        for label, mass in report["witness"].items():
+            lines.append(f"  {label:<20} {mass}")
+        return lines
+    lines.append("sure-loss portfolio:")
+    for leg in report["portfolio"]:
+        lines.append(f"  {leg['direction']:<4} {leg['quantity']:>8} of "
+                     f"{leg['description']}")
+    lines.append("settlement by atom (negative = agent loss):")
+    for label, amount in report["losses"].items():
+        lines.append(f"  {label:<20} {amount}")
+    return lines
+
+
+def _portfolio_lines(report: dict) -> list[str]:
+    lines = ["sure-loss portfolio:"]
+    for row in report["portfolio"]:
+        lines.append(f"  {row['time']:<6} {row['trigger']:<12} "
+                     f"{row['direction']:<5} {row['ticket']:<46} "
+                     f"price {row['price']}")
+    lines.append("realized per branch (negative = agent loss):")
+    for branch, amount in report["losses"].items():
+        lines.append(f"  {branch:<8} {amount}")
+    return lines
+
+
+def _temporal_text(report: dict) -> list[str]:
+    lines = [f"verdict: {report['verdict']}"]
+    if report["violations"]:
+        lines.append("reflection violations:")
+        for v in report["violations"]:
+            lines.append(f"  announced {v['q']}: time-zero conditional "
+                         f"{v['conditional']}, gap {v['gap']}")
+    else:
+        lines.append("no reflection violations")
+    strategy = report.get("strategy")
+    if strategy is not None:
+        lines.append(f"conditioning strategy on D: declared "
+                     f"{strategy['declared']}, coherence forces "
+                     f"{strategy['forced']}")
+    if report["portfolio"]:
+        lines.extend(_portfolio_lines(report))
+    return lines
+
+
+def _reflection_demo_text(report: dict) -> list[str]:
+    return [
+        f"setup: P0(Q) = {_DEMO_MASS} that tomorrow's value for E is "
+        f"{_DEMO_DECLARED}; time-zero conditional P0(E|Q) = "
+        f"{_DEMO_CONDITIONAL}",
+        f"gap d = {report['violations'][0]['gap']}",
+        *_portfolio_lines(report),
+        "verdict: incoherent (sure loss on every branch)",
+    ]
+
+
+def _polarization_text(report: dict) -> list[str]:
+    def verdict(coherent):
+        return "coherent" if coherent else "incoherent"
+
+    # The uniform-prior predictive (k+1)/(n+2), which the report carries
+    # rounded to a float.
+    exact = Fraction(report["zeros"] + 1, report["n"] + 2)
+    return [
+        f"observed {report['n']} bits: {report['zeros']} zeros, "
+        f"{report['ones']} ones",
+        "conditioning rule, next bit is 0: "
+        f"{report['conditioning_next_zero']:.12g} (= {exact})",
+        f"maverick value: {report['maverick_q']:.12g}",
+        "synchronic audit at betting time: conditioning "
+        f"{verdict(report['conditioning_coherent'])}, "
+        f"maverick {verdict(report['maverick_coherent'])}",
+    ]
+
+
+def _quantum_text(report: dict) -> list[str]:
+    dim = report["dim"]
+
     def row(values):
         return "  ".join(f"{v:.10g}" for v in values)
 
-    lines = [f"dimension: {sc.rho0.dim}",
-             f"first measurement P0(i): {row(p0)}"]
-    for i, (rho_tau, ptau) in enumerate(zip(posts, posteriors)):
-        if rho_tau is None:
+    def matrix(pairs):
+        return [
+            "  [" + ", ".join(f"{re:+.6f}{im:+.6f}j"
+                              for re, im in pairs[r:r + dim]) + "]"
+            for r in range(0, len(pairs), dim)
+        ]
+
+    lines = [f"dimension: {dim}",
+             f"first measurement P0(i): {row(report['first_probs'])}"]
+    for i, (pairs, ptau) in enumerate(zip(report["post_states"],
+                                          report["posterior_probs"])):
+        if pairs is None:
             lines.append(f"outcome {i}: probability 0, no posterior state")
             continue
         lines.append(f"outcome {i}: posterior state")
-        lines.extend(_matrix_lines(rho_tau.matrix))
+        lines.extend(matrix(pairs))
         lines.append(f"  second measurement P_tau(j|{i}): {row(ptau)}")
-    lines.append(f"reflection P0(j) for the second measurement: {row(refl)}")
-    lines.append(f"same POVM with no first measurement: {row(direct)}")
+    lines.append("reflection P0(j) for the second measurement: "
+                 f"{row(report['reflection'])}")
+    lines.append(f"same POVM with no first measurement: {row(report['direct'])}")
     lines.append("predictive (decohered) state:")
-    lines.extend(_matrix_lines(rho_dec.matrix))
-    lines.append(f"cross-check tr(E_j rho'_0): {row(cross)}")
-    return OK, report, "\n".join(lines) + "\n"
+    lines.extend(matrix(report["decohered"]))
+    lines.append(f"cross-check tr(E_j rho'_0): {row(report['crosscheck'])}")
+    return lines
+
+
+_TEXT = {
+    "synchronic-audit": _synchronic_text,
+    "temporal-audit": _temporal_text,
+    "reflection-demo": _reflection_demo_text,
+    "polarization-demo": _polarization_text,
+    "quantum-demo": _quantum_text,
+}
 
 
 _HANDLERS = {
@@ -420,7 +443,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code, report, text = _HANDLERS[args.command](args)
+        code, report = _HANDLERS[args.command](args)
     except AuditFileError as exc:
         print(f"dutchbook: error: {exc}", file=sys.stderr)
         return INPUT_ERROR
@@ -432,8 +455,10 @@ def main(argv=None) -> int:
             print(f"dutchbook: error: {args.report}: {exc.strerror or exc}",
                   file=sys.stderr)
             return INPUT_ERROR
-    sys.stdout.write(render_structured(report) if args.format == "structured"
-                     else text)
+    if args.format == "structured":
+        sys.stdout.write(render_structured(report))
+    else:
+        sys.stdout.write("\n".join(_TEXT[report["kind"]](report)) + "\n")
     return code
 
 

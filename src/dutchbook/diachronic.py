@@ -10,8 +10,7 @@ revealed at t=tau.  The tools here:
   violation: a price book on the four (condition, E) branches whose last
   leg is a trade committed for t=tau, settled by `synchronic.settle`;
 * recover strict conditionalization as the special case where one event D
-  determines the future value with certainty;
-* apply partition-based (Jeffrey) updates to a belief state.
+  determines the future value with certainty.
 
 Money at the two times trades at par: a zero interest rate is hard-coded.
 Negative realized amounts are agent losses.
@@ -40,17 +39,13 @@ from .synchronic import Assessment, Portfolio, PortfolioLeg, PriceBook
 __all__ = [
     "PositivityError",
     "NoViolationError",
-    "ReflectionViolationError",
     "StrategyNotAdoptedError",
-    "UndefinedUpdateError",
     "Violation",
     "TemporalModel",
     "reflection_check",
-    "goldstein_expectation",
     "build_reflection_dutch_book",
     "ConditioningResult",
     "conditioning_strategy_check",
-    "jeffrey_update",
 ]
 
 _ZERO = Fraction(0)
@@ -66,16 +61,8 @@ class NoViolationError(ValueError):
     """A sure-loss portfolio was requested where no violation exists."""
 
 
-class ReflectionViolationError(ValueError):
-    """An operation requiring a violation-free model found violations."""
-
-
 class StrategyNotAdoptedError(ValueError):
     """The joint does not encode certainty about the post-learning value."""
-
-
-class UndefinedUpdateError(ValueError):
-    """Partition update moves positive mass onto a zero-probability cell."""
 
 
 @dataclass(frozen=True)
@@ -222,24 +209,6 @@ def reflection_check(m: TemporalModel) -> list[Violation]:
     return violations
 
 
-def goldstein_expectation(m: TemporalModel) -> Fraction:
-    """t=0 expectation of the t=tau value; equals P0(E) when no cell misses.
-
-    Requires a violation-free model.  The returned sum over cells of
-    mass * value is checked against P0(E) computed directly from the joint;
-    with exact arithmetic the two cannot differ once reflection holds.
-    """
-    if reflection_check(m):
-        raise ReflectionViolationError(
-            "expectation identity requires a violation-free model"
-        )
-    total = sum((m.value_mass(i) * q for i, q in enumerate(m.qs)), _ZERO)
-    direct = m.joint.prob(m.e_event())
-    if total != direct:
-        raise AssertionError("expectation identity failed on a violation-free model")
-    return total
-
-
 def _three_leg_book(
     cond_mass: Fraction,
     cond_value: Fraction,
@@ -345,46 +314,3 @@ def conditioning_strategy_check(
         return ConditioningResult(forced, adopted, None)
     book = _three_leg_book(d_mass, forced, adopted, "D")
     return ConditioningResult(forced, adopted, book)
-
-
-def jeffrey_update(
-    b: BeliefState,
-    partition: Sequence[Event],
-    new_probs: Sequence[Rational],
-) -> BeliefState:
-    """Reweight a belief state to hit new partition probabilities.
-
-    Within each cell the relative odds are untouched; across cells the mass
-    is scaled to the new targets.  A degenerate target (all mass on one
-    cell) reduces to conditioning on that cell.
-    """
-    new_probs = [as_fraction(p) for p in new_probs]
-    if len(partition) != len(new_probs):
-        raise ValueError("partition and new probabilities must align")
-    if any(p < 0 for p in new_probs):
-        raise ValueError("new partition probabilities must be nonnegative")
-    if sum(new_probs, _ZERO) != 1:
-        raise ValueError("new partition probabilities must sum to exactly 1")
-    covered: set[int] = set()
-    for cell in partition:
-        if cell.space != b.space:
-            raise ValueError("partition cells must live on the state's space")
-        if covered & cell.members:
-            raise ValueError("partition cells must be mutually exclusive")
-        covered |= cell.members
-    if covered != set(range(b.space.size)):
-        raise ValueError("partition must be exhaustive")
-
-    pmf = list(b.pmf)
-    for cell, target in zip(partition, new_probs):
-        old = b.prob(cell)
-        if old == 0:
-            if target > 0:
-                raise UndefinedUpdateError(
-                    "cannot move positive mass onto a zero-probability cell"
-                )
-            continue
-        factor = target / old
-        for atom in cell.members:
-            pmf[atom] = b.pmf[atom] * factor
-    return BeliefState(b.space, tuple(pmf))

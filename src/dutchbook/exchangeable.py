@@ -1,13 +1,9 @@
 """Exchangeable priors over binary sequences and the pi-bits scenario.
 
-The prior over length-n bit strings is a mixture over i.i.d. binomials,
-represented as a finite Beta mixture so that marginal likelihoods and
-posteriors stay in closed form (log-gamma arithmetic, no quadrature).
-Strings enter only through their zero/one counts, which is exchangeability
-in operational terms.
-
-This module works in floating point with a 1e-12 comparison tolerance;
-counts up to ~10^4 keep the Beta ratios well-conditioned.
+Under a uniform prior on the per-trial chance of a zero, a bit string
+enters only through its zero/one counts (exchangeability in operational
+terms), and the probability that the next bit is a zero is Laplace's rule
+of succession (k+1)/(n+2), returned as an exact `Fraction`.
 
 The bits of pi the headline scenario observes are exact: the Chudnovsky
 series is summed by binary splitting in integers, so its big products
@@ -19,15 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
 
 __all__ = [
     "MAX_PI_BITS",
-    "BetaComponent",
-    "MixingDensity",
     "BitString",
-    "prior_predictive",
-    "posterior",
     "predictive_next",
     "pi_fractional_bits",
     "ScenarioReport",
@@ -36,46 +28,6 @@ __all__ = [
 
 #: Bit-extraction cap; the headline scenario needs 4001.
 MAX_PI_BITS = 16384
-
-_WEIGHT_TOL = 1e-12
-
-
-def _betaln(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-@dataclass(frozen=True)
-class BetaComponent:
-    weight: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("component weight must be positive")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("Beta parameters must be positive")
-
-
-@dataclass(frozen=True)
-class MixingDensity:
-    """Finite Beta-mixture density over the per-trial chance of a zero."""
-
-    components: tuple[BetaComponent, ...]
-
-    def __post_init__(self):
-        components = tuple(self.components)
-        if not components:
-            raise ValueError("mixture needs at least one component")
-        total = sum(c.weight for c in components)
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ValueError(f"component weights must sum to 1, got {total}")
-        object.__setattr__(self, "components", components)
-
-    @classmethod
-    def uniform(cls) -> MixingDensity:
-        """The flat density: a single Beta(1, 1) component."""
-        return cls((BetaComponent(1.0, 1.0, 1.0),))
 
 
 @dataclass(frozen=True)
@@ -121,52 +73,13 @@ class BitString:
         return "".join(str(b) for b in self.bits)
 
 
-def prior_predictive(d: MixingDensity, s: BitString) -> float:
-    """Marginal probability of observing the string under the mixture.
-
-    Closed form per component: B(alpha+k, beta+n-k) / B(alpha, beta) with
-    k zeros among n bits.  Depends on the string only through (k, n).
-    """
-    k, j = s.zeros, s.ones
-    return sum(
-        c.weight * math.exp(_betaln(c.alpha + k, c.beta + j)
-                            - _betaln(c.alpha, c.beta))
-        for c in d.components
-    )
-
-
-def posterior(d: MixingDensity, s: BitString) -> MixingDensity:
-    """Condition the mixture on the observed string.
-
-    Each component's parameters absorb the counts; weights are reweighted
-    by the component evidences and renormalized.  Components whose
-    posterior mass underflows to zero relative to the best component are
-    dropped; at least one component always survives.
-    """
-    k, j = s.zeros, s.ones
-    # Log-space weights: the raw evidences underflow doubles near n ~ 4000.
-    logs = [
-        math.log(c.weight) + _betaln(c.alpha + k, c.beta + j)
-        - _betaln(c.alpha, c.beta)
-        for c in d.components
-    ]
-    shift = max(logs)
-    raw = [math.exp(lw - shift) for lw in logs]
-    survivors = [(r, c) for r, c in zip(raw, d.components) if r > 0.0]
-    total = sum(r for r, _ in survivors)
-    return MixingDensity(tuple(
-        BetaComponent(r / total, c.alpha + k, c.beta + j)
-        for r, c in survivors
-    ))
-
-
-def predictive_next(d: MixingDensity, s: BitString) -> float:
+def predictive_next(s: BitString) -> Fraction:
     """Probability that the bit after the string is a zero.
 
-    Mixture mean of the posterior; a uniform prior gives (k+1)/(n+2).
+    The uniform prior's posterior mean, (k+1)/(n+2) with k zeros among
+    n bits.
     """
-    post = posterior(d, s)
-    return sum(c.weight * c.alpha / (c.alpha + c.beta) for c in post.components)
+    return Fraction(s.zeros + 1, s.n + 2)
 
 
 # 640320**3 / 24: the cubic denominator of the Chudnovsky term ratio.
@@ -235,20 +148,23 @@ def scenario_report(
     """Compare strict conditioning with an off-script next-bit value.
 
     The conditioning column is the uniform-prior predictive for the next
-    bit; the maverick column is taken as given.  Each value also gets a
-    fresh-start coherence verdict for the betting time itself, which is
-    simply membership in [0, 1]: a single announced price faces no other
+    bit, rounded to the nearest float; the maverick column is taken as
+    given and must be finite.  Each value also gets a fresh-start
+    coherence verdict for the betting time itself, which is simply
+    membership in [0, 1]: a single announced price faces no other
     constraint once the earlier probabilities are off the table.
     """
     if observed.n != n:
         raise ValueError(f"observed string has {observed.n} bits, expected {n}")
-    cond = predictive_next(MixingDensity.uniform(), observed)
+    if not math.isfinite(maverick_q):
+        raise ValueError(f"maverick value must be finite, got {maverick_q}")
+    cond = predictive_next(observed)
     return ScenarioReport(
         n=n,
         zeros=observed.zeros,
         ones=observed.ones,
-        conditioning_next_zero=cond,
+        conditioning_next_zero=float(cond),
         maverick_q=maverick_q,
-        conditioning_coherent=0.0 <= cond <= 1.0,
+        conditioning_coherent=0 <= cond <= 1,
         maverick_coherent=0.0 <= maverick_q <= 1.0,
     )

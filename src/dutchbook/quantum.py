@@ -19,7 +19,7 @@ structural check whose value overflows to inf or NaN fails, silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,15 +46,9 @@ __all__ = [
     "decohered_state",
     "lueders_instrument",
     "lueders_decohere",
-    "frame_matrix",
     "is_informationally_complete",
     "reconstruct_state",
     "tetrahedron_povm",
-    "z_basis_projectors",
-    "random_density",
-    "random_instrument",
-    "random_povm",
-    "random_projector_family",
 ]
 
 #: Structural invariants: Hermiticity, unit trace, resolutions of identity.
@@ -259,14 +253,27 @@ def first_outcome_probs(ins: Instrument, rho: DensityOperator) -> list[float]:
 
 
 def post_state(ins: Instrument, i: int, rho: DensityOperator) -> DensityOperator:
-    """State assigned on learning outcome i: F_i(rho_0) / P_0(i)."""
+    """State assigned on learning outcome i: F_i(rho_0) / P_0(i).
+
+    F_i(rho_0) is Hermitian, but dividing by a small P_0(i) magnifies its
+    rounding past `STRUCT_TOL`, so the state is the Hermitian part of the
+    quotient.  Just above `ZERO_PROB_TOL` the magnified rounding can also
+    push an eigenvalue below `EIG_FLOOR`; that outcome raises a
+    `QuantumError`, since no state can be read off it in floating point.
+    """
     _require_same_dim(ins.dim, rho.dim)
     image = ins.apply(i, rho.matrix)
     p = float(image.trace().real)
     if p <= ZERO_PROB_TOL:
         raise ZeroProbabilityOutcomeError(
             f"outcome {i} has probability {p:.3g}; posterior state undefined")
-    return DensityOperator(image / p)
+    m = image / p
+    try:
+        return DensityOperator(m / 2 + m.conj().T / 2)
+    except ValueError:
+        raise QuantumError(
+            f"outcome {i} has probability {p:.3g}, too small for a posterior "
+            "state in floating point") from None
 
 
 def outcome_probs(pov: Povm, rho: DensityOperator) -> list[float]:
@@ -342,7 +349,7 @@ def lueders_decohere(projectors, rho0: DensityOperator) -> DensityOperator:
     return DensityOperator(sum(p @ rho0.matrix @ p for p in ps))
 
 
-def frame_matrix(pov: Povm) -> np.ndarray:
+def _frame_matrix(pov: Povm) -> np.ndarray:
     """Rows vec(E_j^T), so that frame @ vec(rho) = [tr(E_j rho)]_j."""
     return np.stack([e.T.reshape(-1) for e in pov.effects])
 
@@ -350,7 +357,7 @@ def frame_matrix(pov: Povm) -> np.ndarray:
 def is_informationally_complete(pov: Povm) -> bool:
     """Whether the effects span the full d^2-dimensional operator space."""
     d = pov.dim
-    return int(np.linalg.matrix_rank(frame_matrix(pov))) == d * d
+    return int(np.linalg.matrix_rank(_frame_matrix(pov))) == d * d
 
 
 @_quiet
@@ -373,7 +380,7 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
         raise InconsistentProbabilitiesError(
             "no state matches probabilities that are not finite")
     d = pov.dim
-    frame = frame_matrix(pov)
+    frame = _frame_matrix(pov)
     vec, *_ = np.linalg.lstsq(frame, target, rcond=None)
     residual = float(np.abs(frame @ vec - target).max())
     if not residual <= RECONSTRUCT_TOL:
@@ -399,68 +406,3 @@ def tetrahedron_povm() -> Povm:
     return Povm(tuple(
         (eye + sum(c * p for c, p in zip(v, _PAULI))) / 4 for v in vectors
     ))
-
-
-def z_basis_projectors() -> tuple[np.ndarray, np.ndarray]:
-    """Rank-1 computational-basis projectors on a qubit."""
-    return (np.diag([1.0, 0.0]).astype(complex),
-            np.diag([0.0, 1.0]).astype(complex))
-
-
-def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
-    """Full-rank random state: normalized G G† with complex Gaussian G."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    return DensityOperator(m / m.trace())
-
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(g)
-    # Fix the phase ambiguity of QR so the distribution is Haar.
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_instrument(dim: int, n_outcomes: int, rng: np.random.Generator,
-                      kraus_per_outcome: int = 1) -> Instrument:
-    """Random trace-preserving instrument.
-
-    A Haar-random unitary on dim*(total Kraus count) dimensions is cut
-    into d-column blocks; stacking guarantees sum K†K = identity exactly
-    up to rounding, and generic blocks give every outcome full support.
-    """
-    total = n_outcomes * kraus_per_outcome
-    u = _haar_unitary(dim * total, rng)
-    isometry = u[:, :dim]
-    blocks = [isometry[b * dim:(b + 1) * dim, :] for b in range(total)]
-    return Instrument(tuple(
-        tuple(blocks[i * kraus_per_outcome + k] for k in range(kraus_per_outcome))
-        for i in range(n_outcomes)
-    ))
-
-
-def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
-    """Random POVM: PSD seeds A_j whitened by S^{-1/2} with S = sum A_j."""
-    seeds = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        seeds.append(g @ g.conj().T)
-    s = sum(seeds)
-    vals, vecs = np.linalg.eigh(s)
-    inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
-    return Povm(tuple(inv_sqrt @ a @ inv_sqrt for a in seeds))
-
-
-def random_projector_family(dim: int, ranks: Sequence[int],
-                            rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Orthogonal projectors of the given ranks from a Haar-random basis."""
-    if sum(ranks) != dim or any(r < 1 for r in ranks):
-        raise ValueError(f"ranks {ranks} must be positive and sum to dim {dim}")
-    u = _haar_unitary(dim, rng)
-    out = []
-    start = 0
-    for r in ranks:
-        cols = u[:, start:start + r]
-        out.append(cols @ cols.conj().T)
-        start += r
-    return tuple(out)

@@ -1,0 +1,77 @@
+"""Random and fixed quantum inputs for the test suites.
+
+Haar-random unitaries, states, instruments, POVMs and projector families,
+and the qubit's computational-basis projectors.  The library never calls
+these; the tests build their scenarios from them.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from dutchbook.quantum import DensityOperator, Instrument, Povm
+
+
+def z_basis_projectors() -> tuple[np.ndarray, np.ndarray]:
+    """Rank-1 computational-basis projectors on a qubit."""
+    return (np.diag([1.0, 0.0]).astype(complex),
+            np.diag([0.0, 1.0]).astype(complex))
+
+
+def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
+    """Full-rank random state: normalized G G† with complex Gaussian G."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    return DensityOperator(m / m.trace())
+
+
+def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    # Fix the phase ambiguity of QR so the distribution is Haar.
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_instrument(dim: int, n_outcomes: int, rng: np.random.Generator,
+                      kraus_per_outcome: int = 1) -> Instrument:
+    """Random trace-preserving instrument.
+
+    A Haar-random unitary on dim*(total Kraus count) dimensions is cut
+    into d-column blocks; stacking guarantees sum K†K = identity exactly
+    up to rounding, and generic blocks give every outcome full support.
+    """
+    total = n_outcomes * kraus_per_outcome
+    u = _haar_unitary(dim * total, rng)
+    isometry = u[:, :dim]
+    blocks = [isometry[b * dim:(b + 1) * dim, :] for b in range(total)]
+    return Instrument(tuple(
+        tuple(blocks[i * kraus_per_outcome + k] for k in range(kraus_per_outcome))
+        for i in range(n_outcomes)
+    ))
+
+
+def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
+    """Random POVM: PSD seeds A_j whitened by S^{-1/2} with S = sum A_j."""
+    seeds = []
+    for _ in range(n_outcomes):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        seeds.append(g @ g.conj().T)
+    s = sum(seeds)
+    vals, vecs = np.linalg.eigh(s)
+    inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
+    return Povm(tuple(inv_sqrt @ a @ inv_sqrt for a in seeds))
+
+
+def random_projector_family(dim: int, ranks: Sequence[int],
+                            rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Orthogonal projectors of the given ranks from a Haar-random basis."""
+    if sum(ranks) != dim or any(r < 1 for r in ranks):
+        raise ValueError(f"ranks {ranks} must be positive and sum to dim {dim}")
+    u = _haar_unitary(dim, rng)
+    out = []
+    start = 0
+    for r in ranks:
+        cols = u[:, start:start + r]
+        out.append(cols @ cols.conj().T)
+        start += r
+    return tuple(out)

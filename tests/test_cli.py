@@ -281,6 +281,14 @@ def test_demo_polarization_input_errors(capsys, tmp_path):
     junk.write_text("01x")
     code, _, err = _run(capsys, "demo-polarization", "--bits", str(junk))
     assert code == 1
+    # NaN and infinities are no JSON, and no value a price can take.
+    for value in ("nan", "inf", "-inf"):
+        for fmt in ("text", "structured"):
+            code, out, err = _run(capsys, "demo-polarization", "--n", "8",
+                                  f"--maverick={value}", "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == ("dutchbook: error: maverick value must be finite, "
+                           f"got {float(value)}\n")
 
 
 def test_demo_quantum(capsys):
@@ -325,6 +333,36 @@ def test_demo_quantum_zero_probability_outcome(capsys, tmp_path):
     assert report["posterior_probs"][1] is None
 
 
+def test_demo_quantum_tiny_outcome_gets_a_posterior_state(capsys, tmp_path):
+    # Outcome 1 has probability ~1e-10: |v><v| with v = u0 + 1e-5 i u1 for
+    # the basis u rotated by 0.3 rad, Lueders projectors on u0 and u1 as
+    # both instrument and POVM.  Normalizing its image must not end in a
+    # traceback.
+    import numpy as np
+
+    def pairs(m):
+        return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+
+    u0 = np.array([np.cos(0.3), np.sin(0.3)], dtype=complex)
+    u1 = np.array([-np.sin(0.3), np.cos(0.3)], dtype=complex)
+    v = u0 + 1e-5j * u1
+    p0, p1 = pairs(np.outer(u0, u0.conj())), pairs(np.outer(u1, u1.conj()))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "dim": 2, "rho0": pairs(np.outer(v, v.conj()) / np.vdot(v, v).real),
+        "instrument": [[p0], [p1]], "povm": [p0, p1]}))
+    code, out, err = _run(capsys, "demo-quantum", str(path))
+    assert (code, err) == (0, "")
+    assert "outcome 1: posterior state" in out
+    code, out, _ = _run(capsys, "demo-quantum", "--format", "structured",
+                        str(path))
+    report = json.loads(out)
+    assert abs(report["first_probs"][1] - 1e-10) <= 1e-15
+    post = [complex(re, im) for re, im in report["post_states"][1]]
+    assert max(abs(a - b) for a, b in
+               zip(post, np.outer(u1, u1.conj()).reshape(-1))) <= 1e-6
+
+
 def test_demo_quantum_overflowing_state_prints_one_error_line(tmp_path):
     # The trace of this finite state overflows; the one error line must
     # not be preceded by numpy warnings, so run the CLI as a user does.
@@ -354,6 +392,53 @@ def test_demo_quantum_error_in_a_computation_exits_one(capsys, monkeypatch):
     code, out, err = _run(capsys, "demo-quantum",
                           str(SAMPLES / "qubit_z_then_x.json"))
     assert (code, out, err) == (1, "", "dutchbook: error: dimension mismatch\n")
+
+
+# ---------------------------------------------------------------- text output
+
+EXPECTED_TEXT = ROOT / "tests" / "expected_text"
+
+# The eight sample commands, each with the exit code its recorded text
+# output came with.
+SAMPLE_COMMANDS = [
+    ("audit-coherent", ["audit", "coherent_book.json"], 0),
+    ("audit-incoherent", ["audit", "incoherent_book.json"], 2),
+    ("audit-product-rule", ["audit", "product_rule_violation.json"], 2),
+    ("temporal-reflection",
+     ["audit", "--temporal", "temporal_reflection_violation.json"], 2),
+    ("temporal-strategy",
+     ["audit", "--temporal", "conditioning_strategy.json"], 2),
+    ("demo-quantum", ["demo-quantum", "qubit_z_then_x.json"], 0),
+    ("demo-reflection", ["demo-reflection"], 2),
+    ("demo-polarization", ["demo-polarization", "--n", "4000"], 0),
+]
+
+
+def _sample_argv(argv):
+    return [str(SAMPLES / a) if a.endswith(".json") else a for a in argv]
+
+
+@pytest.mark.parametrize("name, argv, want_code", SAMPLE_COMMANDS,
+                         ids=[c[0] for c in SAMPLE_COMMANDS])
+def test_sample_text_output_is_byte_stable(capsys, name, argv, want_code):
+    code, out, err = _run(capsys, *_sample_argv(argv), "--format", "text")
+    assert (code, err) == (want_code, "")
+    assert out.encode("utf-8") == (EXPECTED_TEXT / f"{name}.txt").read_bytes()
+
+
+def test_structured_runs_render_no_text(capsys, monkeypatch):
+    import dutchbook.cli
+
+    def refuse(report):
+        raise AssertionError(f"text rendered for {report['kind']}")
+
+    monkeypatch.setattr(dutchbook.cli, "_TEXT",
+                        dict.fromkeys(dutchbook.cli._TEXT, refuse))
+    for _, argv, want_code in SAMPLE_COMMANDS:
+        code, out, _ = _run(capsys, *_sample_argv(argv),
+                            "--format", "structured")
+        assert code == want_code
+        assert json.loads(out)["kind"] in dutchbook.cli._TEXT
 
 
 # ------------------------------------------------------------- lazy numpy

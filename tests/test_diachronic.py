@@ -1,5 +1,5 @@
-"""Temporal models: reflection, the three-leg sure loss, conditioning,
-and Jeffrey updates."""
+"""Temporal models: reflection, Goldstein's identity, the three-leg sure
+loss, and conditioning."""
 
 import random
 from fractions import Fraction as F
@@ -8,27 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutchbook.beliefs import BeliefState, Event, OutcomeSpace, as_fraction
+from dutchbook.beliefs import as_fraction
 from dutchbook.diachronic import (
     ConditioningResult,
     NoViolationError,
     PositivityError,
-    ReflectionViolationError,
     StrategyNotAdoptedError,
     TemporalModel,
-    UndefinedUpdateError,
     Violation,
     _three_leg_book,
     build_reflection_dutch_book,
     conditioning_strategy_check,
-    goldstein_expectation,
-    jeffrey_update,
     reflection_check,
 )
 from dutchbook.synchronic import Portfolio, PortfolioLeg, settle
 
 WORKED = dict(qs=(F(1, 2), F(1, 4)), masses=(F(2, 5), F(3, 5)),
               e_given_q=(F(7, 10), F(1, 4)))
+
+
+def _goldstein_sides(m):
+    """Goldstein's identity as two sides: the t=0 average of the announced
+    values, sum of mass * q over the value cells, and P0(E)."""
+    averaged = sum((m.value_mass(i) * q for i, q in enumerate(m.qs)), F(0))
+    return averaged, m.joint.prob(m.e_event())
 
 
 def _all_branches(portfolio):
@@ -43,7 +46,7 @@ def test_reflection_by_construction_has_no_violations():
         qs=(F(1, 5), F(4, 5)), masses=(F(1, 4), F(3, 4)),
         e_given_q=(F(1, 5), F(4, 5)))
     assert reflection_check(m) == []
-    assert goldstein_expectation(m) == F(13, 20)
+    assert _goldstein_sides(m) == (F(13, 20), F(13, 20))
 
 
 def test_worked_example_violation():
@@ -64,19 +67,21 @@ def test_zero_mass_values_are_skipped():
 def test_goldstein_point_mass_and_indicator():
     point = TemporalModel.from_conditionals(
         qs=(F(1, 2),), masses=(F(1),), e_given_q=(F(1, 2),))
-    assert goldstein_expectation(point) == F(1, 2)
+    assert _goldstein_sides(point) == (F(1, 2), F(1, 2))
 
     for p in (F(0), F(1, 3), F(1)):
         m = TemporalModel((F(0), F(1)),
                           {(0, True): F(0), (0, False): p,
                            (1, True): 1 - p, (1, False): F(0)})
-        assert goldstein_expectation(m) == 1 - p
+        assert _goldstein_sides(m) == (1 - p, 1 - p)
 
 
 def test_goldstein_requires_reflection():
+    # The worked violation: averaged values 2/5*1/2 + 3/5*1/4 = 7/20, while
+    # P0(E) = 2/5*7/10 + 3/5*1/4 = 43/100.
     m = TemporalModel.from_conditionals(**WORKED)
-    with pytest.raises(ReflectionViolationError):
-        goldstein_expectation(m)
+    assert reflection_check(m)
+    assert _goldstein_sides(m) == (F(7, 20), F(43, 100))
 
 
 def test_worked_example_book_loses_exact_amounts():
@@ -231,49 +236,6 @@ def test_bijection_case_reflection_and_conditioning_agree():
     assert outcome.forced_q == m.joint.cond_prob(m.e_event(), m.d_event())
 
 
-def test_jeffrey_update_examples():
-    space = OutcomeSpace(["a", "b", "c", "d"])
-    b = BeliefState.uniform(space)
-    part = [space.event(["a", "b"]), space.event(["c", "d"])]
-
-    same = jeffrey_update(b, part, [F(1, 2), F(1, 2)])
-    assert same == b
-
-    shifted = jeffrey_update(b, part, [F(3, 4), F(1, 4)])
-    assert shifted.pmf == (F(3, 8), F(3, 8), F(1, 8), F(1, 8))
-
-    conditioned = jeffrey_update(b, part, [F(1), F(0)])
-    d = part[0]
-    for i in range(4):
-        expected = b.cond_prob(Event(space, frozenset({i})), d)
-        assert conditioned.pmf[i] == expected
-
-
-def test_jeffrey_update_validation():
-    space = OutcomeSpace(["a", "b", "c", "d"])
-    b = BeliefState.uniform(space)
-    part = [space.event(["a", "b"]), space.event(["c", "d"])]
-    with pytest.raises(ValueError):
-        jeffrey_update(b, part, [F(1, 2)])
-    with pytest.raises(ValueError):
-        jeffrey_update(b, part, [F(3, 4), F(1, 2)])
-    with pytest.raises(ValueError):
-        jeffrey_update(b, part, [F(5, 4), F(-1, 4)])
-    with pytest.raises(ValueError):  # overlapping cells
-        jeffrey_update(b, [space.event(["a", "b"]), space.event(["b", "c", "d"])],
-                       [F(1, 2), F(1, 2)])
-    with pytest.raises(ValueError):  # not exhaustive
-        jeffrey_update(b, [space.event(["a"]), space.event(["b"])],
-                       [F(1, 2), F(1, 2)])
-
-    lopsided = BeliefState(space, (F(1, 2), F(1, 2), F(0), F(0)))
-    with pytest.raises(UndefinedUpdateError):
-        jeffrey_update(lopsided, part, [F(1, 2), F(1, 2)])
-    # Zero target on the zero cell is fine.
-    ok = jeffrey_update(lopsided, part, [F(1), F(0)])
-    assert ok == lopsided
-
-
 _q = st.fractions(min_value=0, max_value=1, max_denominator=12)
 _mass = st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12)
 
@@ -312,7 +274,7 @@ def test_reflection_models_satisfy_goldstein(cells):
     m = TemporalModel.from_conditionals(qs=qs, masses=masses, e_given_q=qs)
     assert reflection_check(m) == []
     expected = sum(mass * q for q, mass in zip(qs, masses))
-    assert goldstein_expectation(m) == expected
+    assert _goldstein_sides(m) == (expected, expected)
 
 
 # ------------------------------------------------ reference (quadratic) audits

@@ -20,19 +20,21 @@ from dutchbook.quantum import (
     ZeroProbabilityOutcomeError,
     decohered_state,
     first_outcome_probs,
-    frame_matrix,
     is_informationally_complete,
     lueders_decohere,
     lueders_instrument,
     outcome_probs,
     post_state,
+    reconstruct_state,
+    reflection_prob,
+    tetrahedron_povm,
+)
+from dutchbook.quantum import _frame_matrix
+from quantum_fixtures import (
     random_density,
     random_instrument,
     random_povm,
     random_projector_family,
-    reconstruct_state,
-    reflection_prob,
-    tetrahedron_povm,
     z_basis_projectors,
 )
 
@@ -181,6 +183,41 @@ def test_post_state_zero_probability_outcome():
         post_state(_z_instrument(), 1, rho)
 
 
+def _rotated_scenario(theta, eps, phase):
+    """|v><v| with v = u0 + eps*phase*u1 for the basis u rotated by theta,
+    and the Lueders instrument on u0, u1: outcome 1 has probability eps^2."""
+    c, s = np.cos(theta), np.sin(theta)
+    u0 = np.array([c, s], dtype=complex)
+    u1 = np.array([-s, c], dtype=complex)
+    rho = DensityOperator.from_ket(u0 + eps * phase * u1)
+    ins = lueders_instrument((np.outer(u0, u0.conj()), np.outer(u1, u1.conj())))
+    return rho, ins, u1
+
+
+def test_post_state_of_a_tiny_outcome_is_a_state():
+    # Dividing by P0(1) ~ 1e-10 magnifies the image's rounding to ~1e-8,
+    # past the Hermiticity tolerance; the posterior is still |u1><u1|.
+    rho, ins, u1 = _rotated_scenario(0.3, 1e-5, 1j)
+    assert abs(first_outcome_probs(ins, rho)[1] - 1e-10) <= 1e-15
+    post = post_state(ins, 1, rho)
+    assert np.array_equal(post.matrix, post.matrix.conj().T)
+    assert np.abs(post.matrix - np.outer(u1, u1.conj())).max() <= 1e-6
+
+
+def test_post_state_never_fails_untyped_near_the_zero_floor():
+    # At P0(1) ~ 1e-12 the magnified rounding can also cost positivity:
+    # each outcome is a valid state or a QuantumError, never a bare
+    # ValueError.
+    for theta in np.linspace(0.01, 1.5, 150):
+        for phase in (1, 1j):
+            rho, ins, _ = _rotated_scenario(theta, 1e-6, phase)
+            try:
+                post = post_state(ins, 1, rho)
+            except QuantumError:
+                continue
+            assert isinstance(post, DensityOperator)
+
+
 def test_outcome_probs_born_rule():
     probs = outcome_probs(_x_povm(), DensityOperator.from_ket(PLUS))
     assert abs(probs[0] - 1.0) <= ALG_TOL
@@ -327,7 +364,7 @@ def test_projector_family_rejections():
 def test_frame_matrix_reproduces_born_rule(rng):
     pov = random_povm(3, 5, rng)
     rho = random_density(3, rng)
-    frame = frame_matrix(pov)
+    frame = _frame_matrix(pov)
     assert frame.shape == (5, 9)
     via_frame = frame @ rho.matrix.reshape(-1)
     assert np.abs(via_frame - np.array(outcome_probs(pov, rho))).max() <= ALG_TOL

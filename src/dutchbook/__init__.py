@@ -69,7 +69,8 @@ __version__ = "0.1.0"
 _QUANTUM_NAMES = (
     "DensityOperator", "Instrument", "Povm", "QuantumError",
     "DimensionMismatchError", "NotTracePreservingError",
-    "ZeroProbabilityOutcomeError", "ProjectorFamilyError",
+    "ZeroProbabilityOutcomeError", "TinyProbabilityOutcomeError",
+    "ProjectorFamilyError",
     "NotInformationallyCompleteError", "InconsistentProbabilitiesError",
     "first_outcome_probs", "post_state", "outcome_probs", "reflection_prob",
     "decohered_state", "lueders_instrument", "lueders_decohere",

@@ -20,6 +20,7 @@ import argparse
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 
 from .beliefs import Event
 from .diachronic import (
@@ -65,6 +66,9 @@ def _add_output_flags(p: argparse.ArgumentParser):
                    help="also write the structured report to this file")
 
 
+# Built once per process: argparse keeps no state between parses, and
+# building the five parsers costs more than a small audit.
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dutchbook",
                      description="Dutch-book coherence audits and demos.")
@@ -281,6 +285,8 @@ def _cmd_demo_quantum(args) -> tuple[int, dict]:
         posts = []
         posteriors = []
         for i in range(len(p0)):
+            # An outcome of probability zero, or too small to normalize in
+            # floating point, has no posterior; the rest of the report stands.
             try:
                 rho_tau = post_state(sc.instrument, i, sc.rho0)
             except ZeroProbabilityOutcomeError:
@@ -392,6 +398,9 @@ def _polarization_text(report: dict) -> list[str]:
 
 
 def _quantum_text(report: dict) -> list[str]:
+    # Loaded already: only `demo-quantum` makes this report.
+    from .quantum import ZERO_PROB_TOL
+
     dim = report["dim"]
 
     def row(values):
@@ -409,7 +418,11 @@ def _quantum_text(report: dict) -> list[str]:
     for i, (pairs, ptau) in enumerate(zip(report["post_states"],
                                           report["posterior_probs"])):
         if pairs is None:
-            lines.append(f"outcome {i}: probability 0, no posterior state")
+            p = report["first_probs"][i]
+            lines.append(f"outcome {i}: probability 0, no posterior state"
+                         if p <= ZERO_PROB_TOL else
+                         f"outcome {i}: probability {p:.10g}, too small for "
+                         "a posterior state in floating point")
             continue
         lines.append(f"outcome {i}: posterior state")
         lines.extend(matrix(pairs))

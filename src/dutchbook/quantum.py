@@ -33,6 +33,7 @@ __all__ = [
     "DimensionMismatchError",
     "NotTracePreservingError",
     "ZeroProbabilityOutcomeError",
+    "TinyProbabilityOutcomeError",
     "ProjectorFamilyError",
     "NotInformationallyCompleteError",
     "InconsistentProbabilitiesError",
@@ -79,6 +80,11 @@ class NotTracePreservingError(QuantumError):
 
 class ZeroProbabilityOutcomeError(QuantumError):
     """Post-measurement state requested for an outcome of probability zero."""
+
+
+class TinyProbabilityOutcomeError(ZeroProbabilityOutcomeError):
+    """The outcome's probability is above zero but too small to normalize
+    its image into a state in floating point."""
 
 
 class ProjectorFamilyError(QuantumError):
@@ -258,8 +264,10 @@ def post_state(ins: Instrument, i: int, rho: DensityOperator) -> DensityOperator
     F_i(rho_0) is Hermitian, but dividing by a small P_0(i) magnifies its
     rounding past `STRUCT_TOL`, so the state is the Hermitian part of the
     quotient.  Just above `ZERO_PROB_TOL` the magnified rounding can also
-    push an eigenvalue below `EIG_FLOOR`; that outcome raises a
-    `QuantumError`, since no state can be read off it in floating point.
+    push an eigenvalue below `EIG_FLOOR`; that outcome raises
+    `TinyProbabilityOutcomeError`, since no state can be read off it in
+    floating point.  Like a zero-probability outcome, it has no posterior,
+    while every other quantity of the scenario stays well defined.
     """
     _require_same_dim(ins.dim, rho.dim)
     image = ins.apply(i, rho.matrix)
@@ -271,7 +279,7 @@ def post_state(ins: Instrument, i: int, rho: DensityOperator) -> DensityOperator
     try:
         return DensityOperator(m / 2 + m.conj().T / 2)
     except ValueError:
-        raise QuantumError(
+        raise TinyProbabilityOutcomeError(
             f"outcome {i} has probability {p:.3g}, too small for a posterior "
             "state in floating point") from None
 

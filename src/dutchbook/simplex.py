@@ -1,22 +1,34 @@
 """Exact rational feasibility solver for small dense equality systems.
 
 Decides whether ``{x >= 0 : A x = b}`` is nonempty using a phase-1 simplex
-with Bland's anti-cycling rule.  On success it returns a basic feasible
+with lexicographic Dantzig pivots.  On success it returns a basic feasible
 point; on failure it returns a Farkas vector ``y`` with ``y . A_j <= 0``
 for every column j and ``y . b > 0``, which is the raw material for an
 explicit sure-loss portfolio.  Either result is checked against the system
 before it is returned.
+
+The pivot rule is the cycle-free one of Dantzig, Orden and Wolfe (1955).
+The entering column has the most negative reduced cost, the lowest index
+on a tie.  The leaving row minimizes (rhs, artificial block) / pivot
+coefficient lexicographically; the artificial block is B^-1, so no two
+rows tie and the rows stay lexicographically positive.  Every price row of
+a book has rhs 0, so phase 1 is highly degenerate, and this rule needs
+several times fewer pivots there than Bland's.
 
 The tableau holds Python ints, not fractions.  Each row is scaled by the
 lcm of its denominators, and the whole tableau shares one positive
 denominator ``d``, the previous pivot.  A pivot on ``p = T[r][c]`` updates
 every other row as ``(T[i][j]*p - T[i][c]*T[r][j]) // d``: the integer
 (Bareiss / Edmonds) form of Gauss-Jordan elimination, whose entries are
-minors of the scaled input, so the division is always exact.  The phase-1
-cost row weights each scaled artificial so that its reduced costs are a
-positive multiple of the unscaled ones; Bland's rule therefore makes the
-same entering and leaving choices as on the rational tableau, and the
-point and the certificate are the same.
+minors of the scaled input, so the division is always exact.  The scaling
+changes no pivot choice.  The phase-1 cost row weights each scaled
+artificial so that its reduced costs are a positive multiple of the
+unscaled ones.  Scaling row k by ``s_k > 0`` leaves the rhs column as it
+is, multiplies whole tableau rows by positive factors, and scales
+artificial column k by ``1/s_k`` in every row alike; none of these moves a
+ratio comparison.  The integer tableau therefore makes exactly the choices
+the same rule makes on the rational tableau, and the point and the
+certificate are the same.
 
 No tolerances anywhere: every comparison is an exact integer comparison.
 """
@@ -84,31 +96,37 @@ def solve_equality_feasibility(
     # Phase-1 cost row with the basic artificials eliminated.  Artificial i
     # costs top // scale[i], so the objective is top times the unscaled sum
     # of artificials and every reduced cost is top times the unscaled one:
-    # the signs Bland's rule reads are unchanged.
+    # the order of the reduced costs, which picks the entering column, is
+    # unchanged.
     top = lcm(*scale)
     weight = [top // s for s in scale]
     # The slot under the rhs column is carried through the pivots unread.
     cost = [-sum(w * row[j] for w, row in zip(weight, tab)) for j in range(n)]
     cost += [0] * (m + 1)
     denom = 1
+    # The lexicographic key of a row: its rhs, then its artificial block.
+    keys = (width, *range(n, width))
 
     while True:
         # Artificials never re-enter; their reduced costs are still updated
         # so the dual can be read off their columns at the end.
-        enter = next((j for j in range(n) if cost[j] < 0), None)
-        if enter is None:
+        enter = min(range(n), key=cost.__getitem__, default=None)
+        if enter is None or cost[enter] >= 0:
             break
-        # Bland: among minimizing ratios, pivot on the smallest basic index.
-        # Ratios compare by cross-multiplication; both coefficients are > 0.
+        # Lexicographic ratio test: the row whose key divided by its
+        # coefficient is smallest.  Keys compare by cross-multiplication,
+        # with both coefficients > 0; B^-1 is nonsingular, so no two tie.
         pivot_row = None
         for i in range(m):
             coeff = tab[i][enter]
             if coeff <= 0:
                 continue
             if pivot_row is not None:
-                here = tab[i][width] * tab[pivot_row][enter]
-                best = tab[pivot_row][width] * coeff
-                if here > best or (here == best and basis[i] > basis[pivot_row]):
+                best, best_coeff = tab[pivot_row], tab[pivot_row][enter]
+                row = tab[i]
+                diff = next(d for k in keys
+                            if (d := row[k] * best_coeff - best[k] * coeff))
+                if diff > 0:
                     continue
             pivot_row = i
         if pivot_row is None:
@@ -171,9 +189,14 @@ def _check_certificate(rows, rhs, y) -> None:
 def _check_solution(rows, rhs, x) -> None:
     # Like the Farkas check: a point that misses A x = b, x >= 0 means a
     # tableau bug.  Only the support is summed, so wide books stay cheap.
-    support = [(j, v) for j, v in enumerate(x) if v]
-    if any(v < 0 for _, v in support):
+    # The sums run in ints: the support is scaled by its common
+    # denominator D and each row by the lcm s_i of its denominators on the
+    # support and in b_i, so row i holds iff s_i times it holds times D.
+    support = [j for j, v in enumerate(x) if v]
+    if any(x[j] < 0 for j in support):
         raise RuntimeError("invalid solution (negative entry)")
+    common, xs = _scaled([x[j] for j in support])
     for row, b in zip(rows, rhs):
-        if sum((row[j] * v for j, v in support), _ZERO) != b:
+        _, (*coeffs, scaled_b) = _scaled([*(row[j] for j in support), b])
+        if sum(map(mul, coeffs, xs)) != scaled_b * common:
             raise RuntimeError("invalid solution (row not met)")

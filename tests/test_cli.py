@@ -210,6 +210,33 @@ def test_bad_flags_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # main builds its parser once per process.  Calls after a bad-argument
+    # exit, and before one, must print what a fresh process prints and
+    # exit with the same code.
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = (
+        ["audit", "--bogus", str(SAMPLES / "coherent_book.json")],
+        ["audit", str(SAMPLES / "incoherent_book.json")],
+        ["demo-polarization", "--pi", "--bits", "f"],
+        ["audit", "--format", "structured",
+         str(SAMPLES / "coherent_book.json")],
+    )
+    fresh = []
+    for argv in commands:
+        done = _spawn(sys.executable, "-m", "dutchbook.cli", *argv)
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert [code for code, _, _ in fresh] == [1, 2, 1, 0]
+    for _ in range(2):
+        for argv, want in zip(commands, fresh):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == want
+
+
 # ---------------------------------------------------------------------- demos
 
 
@@ -361,6 +388,44 @@ def test_demo_quantum_tiny_outcome_gets_a_posterior_state(capsys, tmp_path):
     post = [complex(re, im) for re, im in report["post_states"][1]]
     assert max(abs(a - b) for a, b in
                zip(post, np.outer(u1, u1.conj()).reshape(-1))) <= 1e-6
+
+
+def test_demo_quantum_too_small_outcome_keeps_the_report(capsys, tmp_path):
+    # Outcome 1 has probability ~1e-12, just above the zero floor, and its
+    # normalized image is not positive in floating point: |v><v| with
+    # v = u0 + 1e-6 u1 for the basis u rotated by 0.66 rad, Lueders
+    # projectors on u0 and u1 as both instrument and POVM.  That outcome
+    # gets a null posterior and the rest of the report stays.
+    import numpy as np
+
+    def pairs(m):
+        return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+
+    u0 = np.array([np.cos(0.66), np.sin(0.66)], dtype=complex)
+    u1 = np.array([-np.sin(0.66), np.cos(0.66)], dtype=complex)
+    v = u0 + 1e-6 * u1
+    p0, p1 = pairs(np.outer(u0, u0.conj())), pairs(np.outer(u1, u1.conj()))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "dim": 2, "rho0": pairs(np.outer(v, v.conj()) / np.vdot(v, v).real),
+        "instrument": [[p0], [p1]], "povm": [p0, p1]}))
+    code, out, err = _run(capsys, "demo-quantum", "--format", "structured",
+                          str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert 1e-12 < report["first_probs"][1] <= 2e-12
+    assert report["post_states"][0] is not None
+    assert report["posterior_probs"][0] is not None
+    assert report["post_states"][1] is None
+    assert report["posterior_probs"][1] is None
+    assert abs(sum(report["reflection"]) - 1) <= 1e-12
+    code, out, err = _run(capsys, "demo-quantum", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "outcome 0: posterior state" in lines
+    assert (f"outcome 1: probability {report['first_probs'][1]:.10g}, too "
+            "small for a posterior state in floating point") in lines
+    assert "predictive (decohered) state:" in lines
 
 
 def test_demo_quantum_overflowing_state_prints_one_error_line(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from dutchbook.quantum import (
     ALG_TOL,
     STRUCT_TOL,
+    ZERO_PROB_TOL,
     DensityOperator,
     DimensionMismatchError,
     InconsistentProbabilitiesError,
@@ -17,6 +18,7 @@ from dutchbook.quantum import (
     Povm,
     ProjectorFamilyError,
     QuantumError,
+    TinyProbabilityOutcomeError,
     ZeroProbabilityOutcomeError,
     decohered_state,
     first_outcome_probs,
@@ -69,6 +71,7 @@ def test_exceptions_share_a_base():
                 NotInformationallyCompleteError,
                 InconsistentProbabilitiesError):
         assert issubclass(err, QuantumError)
+    assert issubclass(TinyProbabilityOutcomeError, ZeroProbabilityOutcomeError)
 
 
 def test_density_operator_validation():
@@ -206,16 +209,34 @@ def test_post_state_of_a_tiny_outcome_is_a_state():
 
 def test_post_state_never_fails_untyped_near_the_zero_floor():
     # At P0(1) ~ 1e-12 the magnified rounding can also cost positivity:
-    # each outcome is a valid state or a QuantumError, never a bare
+    # each outcome is a valid state or has no posterior, never a bare
     # ValueError.
     for theta in np.linspace(0.01, 1.5, 150):
         for phase in (1, 1j):
             rho, ins, _ = _rotated_scenario(theta, 1e-6, phase)
             try:
                 post = post_state(ins, 1, rho)
-            except QuantumError:
+            except ZeroProbabilityOutcomeError:
                 continue
             assert isinstance(post, DensityOperator)
+
+
+def test_post_state_of_a_too_small_outcome_has_no_posterior():
+    # P0(1) ~ 1e-12, just above ZERO_PROB_TOL: the normalized image has an
+    # eigenvalue of about -1e-10.  That outcome has no posterior, as a zero
+    # outcome has none; the other outcome and the scenario's time-zero
+    # quantities stay defined.
+    rho, ins, _ = _rotated_scenario(0.66, 1e-6, 1)
+    p0 = first_outcome_probs(ins, rho)
+    assert ZERO_PROB_TOL < p0[1] <= 2e-12
+    with pytest.raises(ZeroProbabilityOutcomeError,
+                       match="too small for a posterior") as exc:
+        post_state(ins, 1, rho)
+    assert isinstance(exc.value, TinyProbabilityOutcomeError)
+    assert abs(outcome_probs(_x_povm(), post_state(ins, 0, rho))[0]
+               - outcome_probs(_x_povm(), rho)[0]) <= 1e-5
+    assert abs(sum(reflection_prob(ins, _x_povm(), rho)) - 1) <= ALG_TOL
+    assert isinstance(decohered_state(ins, rho), DensityOperator)
 
 
 def test_outcome_probs_born_rule():

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from dutchbook import simplex
 from dutchbook.simplex import (
     _check_certificate,
     _check_solution,
+    _pivot,
     solve_equality_feasibility,
 )
 
@@ -47,6 +49,15 @@ def test_solution_check_rejects_a_point_missing_a_row():
         _check_solution(rows, rhs, (F(1), F(0)))  # meets row 0, misses row 1
     with pytest.raises(RuntimeError, match="negative"):
         _check_solution(rows, rhs, (F(-1), F(2)))
+    # A negative entry is refused even where every row is met.
+    with pytest.raises(RuntimeError, match="negative"):
+        _check_solution([[F(1), F(1)]], [F(1)], (F(-1, 7), F(8, 7)))
+    # Rows with unlike denominators: the exact point passes, and one that
+    # misses the second row by 1/10**9 fails.
+    rows, rhs = [[F(1, 3), F(0)], [F(1, 6), F(2, 7)]], [F(1, 9), F(1, 7)]
+    _check_solution(rows, rhs, (F(1, 3), F(11, 36)))
+    with pytest.raises(RuntimeError, match="row not met"):
+        _check_solution(rows, rhs, (F(1, 3), F(11, 36) + F(7, 2 * 10**9)))
 
 
 def test_simple_infeasible_system():
@@ -120,16 +131,48 @@ def test_systems_with_planted_solution_are_feasible(m, n, data):
 
 # ------------------------------------------------------------ reference solver
 
-# The dense `Fraction` tableau the integer solver replaced, kept verbatim as
-# a reference.  Both run phase 1 with Bland's rule on tableaux whose reduced
-# costs differ by a positive factor, so they must agree pivot for pivot:
-# the same verdict, the same point and the same certificate.  The byte-pinned
-# reports under bench/expected/ rely on that.
+# A dense `Fraction` tableau with no row scaling, run with either pivot
+# rule.  With the solver's rule (lexicographic Dantzig) the reduced costs
+# and ratios differ from the integer tableau's only by positive factors, so
+# the two must agree pivot for pivot: the same verdict, the same point and
+# the same certificate.  The byte-pinned reports under bench/expected/ rely
+# on that.  With Bland's rule, which the solver used before, only the
+# verdict must agree: the point and the certificate may differ.
 _ZERO = F(0)
 _ONE = F(1)
 
 
-def _reference_solve(rows, rhs):
+def _entering_rows(tab, enter):
+    rows = [i for i in range(len(tab)) if tab[i][enter] > 0]
+    if not rows:
+        raise RuntimeError("phase-1 objective unbounded; constraint setup is broken")
+    return rows
+
+
+def _lex_dantzig(tab, cost, basis, n):
+    """Most negative reduced cost (lowest index on a tie), then the row
+    whose (rhs, artificial block) / coefficient is lexicographically least."""
+    enter = min(range(n), key=cost.__getitem__)
+    if cost[enter] >= 0:
+        return None
+    width = len(cost)
+    keys = (width, *range(n, width))
+    return enter, min(_entering_rows(tab, enter),
+                      key=lambda i: [tab[i][k] / tab[i][enter] for k in keys])
+
+
+def _bland(tab, cost, basis, n):
+    """Lowest-index negative reduced cost, then the least ratio, the
+    smallest basic index on a tie."""
+    enter = next((j for j in range(n) if cost[j] < 0), None)
+    if enter is None:
+        return None
+    width = len(cost)
+    return enter, min(_entering_rows(tab, enter),
+                      key=lambda i: (tab[i][width] / tab[i][enter], basis[i]))
+
+
+def _reference_solve(rows, rhs, rule):
     m = len(rows)
     n = len(rows[0])
     flip = [(-_ONE if b < 0 else _ONE) for b in rhs]
@@ -143,27 +186,13 @@ def _reference_solve(rows, rhs):
     cost = [_ZERO] * width
     for j in range(n):
         cost[j] = -sum((tab[i][j] for i in range(m)), _ZERO)
-    obj = sum((tab[i][width] for i in range(m)), _ZERO)
 
-    while True:
-        enter = next((j for j in range(n) if cost[j] < 0), None)
-        if enter is None:
-            break
-        pivot_row = None
-        best = None
-        for i in range(m):
-            coeff = tab[i][enter]
-            if coeff > 0:
-                ratio = tab[i][width] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = i
-        if pivot_row is None:
-            raise RuntimeError("phase-1 objective unbounded; constraint setup is broken")
+    while (choice := rule(tab, cost, basis, n)) is not None:
+        enter, pivot_row = choice
         _reference_pivot(tab, cost, pivot_row, enter)
         basis[pivot_row] = enter
-        obj = sum((tab[i][width] for i in range(m) if basis[i] >= n), _ZERO)
 
+    obj = sum((tab[i][width] for i in range(m) if basis[i] >= n), _ZERO)
     if obj == 0:
         solution = [_ZERO] * n
         for i, var in enumerate(basis):
@@ -195,7 +224,8 @@ def _reference_pivot(tab, cost, row, col):
 def _assert_matches_reference(rows, rhs):
     result = solve_equality_feasibility(rows, rhs)
     got = (result.feasible, result.solution, result.certificate)
-    assert got == _reference_solve(rows, rhs)
+    assert got == _reference_solve(rows, rhs, _lex_dantzig)
+    assert result.feasible == _reference_solve(rows, rhs, _bland)[0]
     return result
 
 
@@ -282,6 +312,23 @@ def test_book_systems_match_reference_pivot_for_pivot(atoms, prices, wide):
         if k % 2 == 0:
             assert result.feasible
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_degenerate_books_need_few_pivots(seed, monkeypatch):
+    # Every price row has rhs 0, so phase 1 is highly degenerate.  Bland's
+    # rule took 233 and 352 pivots on these two coherent 64x32 books; the
+    # lexicographic Dantzig rule takes 63 and 78.
+    pivots = []
+
+    def counting(*args):
+        pivots.append(args)
+        return _pivot(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    rows, rhs = _book_system(random.Random(seed), 64, 32, False, coherent=True)
+    assert solve_equality_feasibility(rows, rhs).feasible
+    assert 0 < len(pivots) <= 150
 
 
 def test_verdicts_agree_with_highs():

@@ -3,6 +3,11 @@
 Everything here is exact: probabilities and payoffs are `fractions.Fraction`
 values, so audit verdicts built on top of this module are tolerance-free.
 All types are immutable after construction and safe to share across threads.
+
+A `BeliefState` is validated and summed in Python ints: its pmf is scaled
+once to integer numerators over one common denominator, the lcm of the
+masses' denominators, and every probability it reports is one `Fraction`
+built from an integer sum of those numerators.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 __all__ = [
@@ -70,6 +76,12 @@ def as_fraction(value: Rational) -> Fraction:
     raise TypeError(
         f"expected Fraction, int, or exact string, got {type(value).__name__}"
     )
+
+
+def _scaled(entries) -> tuple[int, list[int]]:
+    """The lcm ``s`` of the denominators of `entries`, and ``s * entries`` in ints."""
+    s = lcm(*(v.denominator for v in entries))
+    return s, [v.numerator * (s // v.denominator) for v in entries]
 
 
 def _check_same_space(a, b) -> None:
@@ -154,24 +166,39 @@ class BeliefState:
         pmf = tuple(as_fraction(p) for p in self.pmf)
         if len(pmf) != self.space.size:
             raise ValueError("pmf must assign mass to every atom")
-        if any(p < 0 for p in pmf):
+        denom, numerators = _scaled(pmf)
+        if any(n < 0 for n in numerators):
             raise ValueError("pmf masses must be nonnegative")
-        if sum(pmf) != 1:
-            raise ValueError(f"pmf masses must sum to exactly 1, got {sum(pmf)}")
+        total = sum(numerators)
+        if total != denom:
+            raise ValueError(
+                f"pmf masses must sum to exactly 1, got {Fraction(total, denom)}")
         object.__setattr__(self, "pmf", pmf)
+        object.__setattr__(self, "_scaled_pmf", (denom, tuple(numerators)))
+
+    @property
+    def scaled_pmf(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, numerators)``: L is the lcm of the masses' denominators, and
+        mass i is ``numerators[i] / L``."""
+        return self._scaled_pmf
+
+    def _weight(self, e: Event) -> int:
+        # The event's probability times L.
+        numerators = self._scaled_pmf[1]
+        return sum(numerators[i] for i in e.members)
 
     def prob(self, e: Event) -> Fraction:
         """Probability of the event: the sum of its atoms' masses."""
         _check_same_space(self, e)
-        return sum((self.pmf[i] for i in e.members), Fraction(0))
+        return Fraction(self._weight(e), self._scaled_pmf[0])
 
     def cond_prob(self, e: Event, d: Event) -> Fraction:
         """Conditional probability prob(e and d) / prob(d), exactly."""
         _check_same_space(self, e)
         _check_same_space(self, d)
-        pd = self.prob(d)
-        if pd == 0:
+        weight_d = self._weight(d)
+        if weight_d == 0:
             raise UndefinedConditionalError(
                 "conditional probability undefined: condition has probability 0"
             )
-        return self.prob(e & d) / pd
+        return Fraction(self._weight(e & d), weight_d)

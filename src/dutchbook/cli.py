@@ -51,7 +51,27 @@ __all__ = ["main"]
 OK, INCOHERENT, INPUT_ERROR = 0, 2, 1
 
 
+class _FloatWord:
+    # Stands in for argparse's negative-number pattern, which decides
+    # whether a word starting with "-" is a value or an option.  That
+    # pattern misses exponents and the non-finite words, so "--maverick
+    # -1e3" was refused as a missing argument while "--maverick=-1e3" was
+    # read.  Here a word is a value when float() reads it; no option of
+    # this tool does.
+    @staticmethod
+    def match(word: str) -> bool:
+        try:
+            float(word)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatWord
+
     # Input errors must exit 1; argparse's default error exit is 2, which
     # this tool reserves for detected incoherence.
     def error(self, message):

@@ -15,10 +15,11 @@ revealed at t=tau.  The tools here:
 Money at the two times trades at par: a zero interest rate is hard-coded.
 Negative realized amounts are agent losses.
 
-The audits take time linear in the number of joint cells: a model builds
-the member sets of its value cells, E and D once, and `reflection_check`
-and `conditioning_strategy_check` read every cell's mass, E-mass and
-D-mass from one pass over the joint.
+A model sums its joint once, in ints: it reads the integer numerators its
+`BeliefState` validated over their common denominator, and stores every
+value cell's mass, E-mass, D-mass and (E and D)-mass.  The audits read
+those sums; each conditional they report is one `Fraction` of two stored
+integers, so an audit adds no fractions and builds no events.
 """
 
 from __future__ import annotations
@@ -99,28 +100,30 @@ class TemporalModel:
         self.has_base = key_lens == {3}
         self.condition_label = condition_label
 
+        # Each value cell's atoms are contiguous, one per (e, d) branch in
+        # this order.
+        branches = [
+            (e, d, ("E" if e else "~E") + ("" if d is None else ",D" if d else ",~D"))
+            for e in (True, False)
+            for d in ((True, False) if self.has_base else (None,))
+        ]
         labels = []
         index = {}
         cells = []
         e_members = []
         d_members = []
         for i, q in enumerate(self.qs):
-            cell = []
-            for e in (True, False):
-                for d in ((True, False) if self.has_base else (None,)):
-                    key = (i, e) if d is None else (i, e, d)
-                    name = f"q={q}," + ("E" if e else "~E")
-                    if d is not None:
-                        name += ",D" if d else ",~D"
-                    idx = len(labels)
-                    index[key] = idx
-                    labels.append(name)
-                    cell.append(idx)
-                    if e:
-                        e_members.append(idx)
-                    if d:
-                        d_members.append(idx)
-            cells.append(frozenset(cell))
+            prefix = f"q={q},"
+            start = len(labels)
+            for e, d, branch in branches:
+                idx = len(labels)
+                index[(i, e) if d is None else (i, e, d)] = idx
+                labels.append(prefix + branch)
+                if e:
+                    e_members.append(idx)
+                if d:
+                    d_members.append(idx)
+            cells.append(frozenset(range(start, len(labels))))
         space = OutcomeSpace(labels)
         pmf = [_ZERO] * len(labels)
         for key, mass in joint.items():
@@ -128,10 +131,31 @@ class TemporalModel:
                 raise ValueError(f"joint key {key!r} does not match the model shape")
             pmf[index[key]] = as_fraction(mass)
         self.joint = BeliefState(space, tuple(pmf))
-        self._index = index
         self._cells = tuple(cells)
         self._e = frozenset(e_members)
         self._d = frozenset(d_members)
+
+        # Per value cell: its mass and the masses of E, D and (E and D)
+        # within it, as numerators over the joint's common denominator.
+        self._scale, numerators = self.joint.scaled_pmf
+        mass, e_mass, d_mass, ed_mass = [], [], [], []
+        # zip over one iterator repeated yields each cell's atoms in turn.
+        cell_atoms = [iter(numerators)] * len(branches)
+        if self.has_base:
+            for ed, e_nd, ne_d, ne_nd in zip(*cell_atoms):
+                mass.append(ed + e_nd + ne_d + ne_nd)
+                e_mass.append(ed + e_nd)
+                d_mass.append(ed + ne_d)
+                ed_mass.append(ed)
+        else:
+            for e, ne in zip(*cell_atoms):
+                mass.append(e + ne)
+                e_mass.append(e)
+            d_mass = ed_mass = [0] * len(self.qs)
+        self._mass = tuple(mass)
+        self._e_mass = tuple(e_mass)
+        self._d_mass = tuple(d_mass)
+        self._ed_mass = tuple(ed_mass)
 
     @classmethod
     def from_conditionals(
@@ -170,25 +194,7 @@ class TemporalModel:
         return Event(self.space, self._d)
 
     def value_mass(self, i: int) -> Fraction:
-        return self.joint.prob(self.value_event(i))
-
-    def _cell_masses(self) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-        """Per value cell, in one pass over the joint: the cell's mass, the
-        mass of E within it, and the mass of D within it (zero without D)."""
-        k = len(self.qs)
-        mass, e_mass, d_mass = [_ZERO] * k, [_ZERO] * k, [_ZERO] * k
-        pmf = self.joint.pmf
-        for key, idx in self._index.items():
-            p = pmf[idx]
-            if not p:
-                continue
-            i = key[0]
-            mass[i] += p
-            if key[1]:
-                e_mass[i] += p
-            if self.has_base and key[2]:
-                d_mass[i] += p
-        return mass, e_mass, d_mass
+        return Fraction(self._mass[i], self._scale)
 
 
 def reflection_check(m: TemporalModel) -> list[Violation]:
@@ -199,13 +205,12 @@ def reflection_check(m: TemporalModel) -> list[Violation]:
     conditionals match the announced future values exactly.
     """
     violations = []
-    mass, e_mass, _ = m._cell_masses()
-    for q, cell_mass, cell_e in zip(m.qs, mass, e_mass):
-        if cell_mass == 0:
+    for q, cell_mass, cell_e in zip(m.qs, m._mass, m._e_mass):
+        # cell_e / cell_mass == q, compared without building the Fraction.
+        if cell_mass == 0 or cell_e * q.denominator == q.numerator * cell_mass:
             continue
-        cond = cell_e / cell_mass
-        if cond != q:
-            violations.append(Violation(q, cond, cond - q))
+        cond = Fraction(cell_e, cell_mass)
+        violations.append(Violation(q, cond, cond - q))
     return violations
 
 
@@ -258,13 +263,12 @@ def build_reflection_dutch_book(m: TemporalModel, q: Rational) -> Portfolio:
         i = m.qs.index(q)
     except ValueError:
         raise ValueError(f"{q} is not among the model's candidate values") from None
-    mass = m.value_mass(i)
-    if mass == 0:
+    if m._mass[i] == 0:
         raise PositivityError(f"cell for value {q} has probability zero")
-    cond = m.joint.cond_prob(m.e_event(), m.value_event(i))
+    cond = Fraction(m._e_mass[i], m._mass[i])
     if cond == q:
         raise NoViolationError(f"no violation at value {q}; conditional equals it")
-    return _three_leg_book(mass, cond, q, m.condition_label)
+    return _three_leg_book(m.value_mass(i), cond, q, m.condition_label)
 
 
 @dataclass(frozen=True)
@@ -294,12 +298,11 @@ def conditioning_strategy_check(
     """
     if not m.has_base:
         raise StrategyNotAdoptedError("model carries no base event to learn")
-    _, _, cell_d = m._cell_masses()
-    d_mass = sum(cell_d, _ZERO)
+    d_mass = sum(m._d_mass)
     if d_mass == 0:
         raise StrategyNotAdoptedError("base event has probability zero")
     # A cell is certain given D when it holds all of D's mass.
-    certain = [i for i, mass in enumerate(cell_d) if mass == d_mass]
+    certain = [i for i, mass in enumerate(m._d_mass) if mass == d_mass]
     if len(certain) != 1:
         raise StrategyNotAdoptedError(
             "joint does not make any single future value certain given the base event"
@@ -309,8 +312,8 @@ def conditioning_strategy_check(
         raise StrategyNotAdoptedError(
             f"declared value {declared_q} differs from the encoded value {adopted}"
         )
-    forced = m.joint.prob(m.e_event() & m.d_event()) / d_mass
+    forced = Fraction(sum(m._ed_mass), d_mass)
     if forced == adopted:
         return ConditioningResult(forced, adopted, None)
-    book = _three_leg_book(d_mass, forced, adopted, "D")
+    book = _three_leg_book(Fraction(d_mass, m._scale), forced, adopted, "D")
     return ConditioningResult(forced, adopted, book)

@@ -38,7 +38,7 @@ class BitString:
 
     def __post_init__(self):
         bits = tuple(self.bits)
-        if any(b not in (0, 1) for b in bits):
+        if not set(bits) <= {0, 1}:
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
@@ -82,6 +82,9 @@ def predictive_next(s: BitString) -> Fraction:
     return Fraction(s.zeros + 1, s.n + 2)
 
 
+# ASCII "0" and "1" to the bytes 0 and 1, which iterate as the ints.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 # 640320**3 / 24: the cubic denominator of the Chudnovsky term ratio.
 _C3_OVER_24 = 640320 ** 3 // 24
 # Each Chudnovsky term adds log2(640320**3 / 1728) ~ 47.11 bits.
@@ -124,7 +127,8 @@ def pi_fractional_bits(n: int) -> BitString:
     _, q, t = _chudnovsky_split(0, width // _BITS_PER_TERM + 2)
     pi_scaled = q * 426880 * math.isqrt(10005 << 2 * width) // t
     frac = (pi_scaled - (3 << width)) >> guard
-    return BitString(tuple(map(int, format(frac, f"0{n}b"))))
+    digits = format(frac, f"0{n}b").encode("ascii")
+    return BitString(tuple(digits.translate(_DIGIT_BYTES)))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
+from .beliefs import _scaled
+
 __all__ = ["Feasibility", "solve_equality_feasibility"]
 
 _ZERO = Fraction(0)
@@ -148,12 +150,6 @@ def solve_equality_feasibility(
          for i in range(m)]
     _check_certificate(rows, rhs, y)
     return Feasibility(False, None, tuple(y))
-
-
-def _scaled(entries) -> tuple[int, list[int]]:
-    """The lcm ``s`` of the denominators of `entries`, and ``s * entries`` in ints."""
-    s = lcm(*(v.denominator for v in entries))
-    return s, [v.numerator * (s // v.denominator) for v in entries]
 
 
 def _pivot(tab, cost, row: int, col: int, denom: int) -> int:

@@ -1,5 +1,6 @@
 """Exact substrate: spaces, events, belief states."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -167,3 +168,63 @@ def test_product_rule_identity(weights, data):
             b.cond_prob(e, d)
     else:
         assert b.cond_prob(e, d) * b.prob(d) == b.prob(e & d)
+
+
+# ------------------------------------------- reference (Fraction-sum) checks
+#
+# `BeliefState` validates and sums its pmf as ints over one common
+# denominator.  The reference below is the plain Fraction-sum version: the
+# same checks in the same order, with the same messages.
+
+def _reference_validation_error(pmf):
+    pmf = tuple(as_fraction(p) for p in pmf)
+    if any(p < 0 for p in pmf):
+        return "pmf masses must be nonnegative"
+    if sum(pmf) != 1:
+        return f"pmf masses must sum to exactly 1, got {sum(pmf)}"
+    return None
+
+
+# Large pairwise-coprime denominators (distinct primes) next to small ones,
+# so the common denominator runs to hundreds of bits.
+_DENOMINATORS = (1, 2, 3, 10, 2**31 - 1, 10**9 + 7, 2**61 - 1, 2**89 - 1,
+                 2**107 - 1, 2**127 - 1)
+_masses_exact = st.builds(F, st.integers(min_value=-1, max_value=4),
+                          st.sampled_from(_DENOMINATORS))
+
+
+@st.composite
+def _pmfs(draw):
+    pmf = draw(st.lists(_masses_exact, min_size=1, max_size=8))
+    # Most draws are closed off with the complement, so they sum to 1
+    # (the complement may still be negative); the rest rarely do.
+    if draw(st.integers(min_value=0, max_value=3)):
+        pmf.append(1 - sum(pmf))
+    return draw(st.permutations(pmf))
+
+
+@settings(max_examples=300)
+@given(_pmfs(), st.data())
+def test_belief_state_matches_fraction_sum_reference(pmf, data):
+    space = OutcomeSpace([f"w{i}" for i in range(len(pmf))])
+    want = _reference_validation_error(pmf)
+    if want is not None:
+        with pytest.raises(ValueError) as info:
+            BeliefState(space, tuple(pmf))
+        assert str(info.value) == want
+        return
+    b = BeliefState(space, tuple(str(p) for p in pmf))
+    assert b.pmf == tuple(pmf)
+    scale, numerators = b.scaled_pmf
+    assert scale == math.lcm(*(p.denominator for p in pmf))
+    assert numerators == tuple(p * scale for p in pmf)
+    pick = st.frozensets(st.integers(min_value=0, max_value=len(pmf) - 1))
+    e = Event(space, data.draw(pick))
+    d = Event(space, data.draw(pick))
+    assert b.prob(e) == sum((pmf[i] for i in e.members), F(0))
+    pd = sum((pmf[i] for i in d.members), F(0))
+    if pd == 0:
+        with pytest.raises(UndefinedConditionalError):
+            b.cond_prob(e, d)
+    else:
+        assert b.cond_prob(e, d) == sum((pmf[i] for i in (e & d).members), F(0)) / pd

@@ -272,12 +272,15 @@ def test_demo_polarization_small(capsys):
 
 
 def test_demo_polarization_incoherent_maverick(capsys):
-    code, out, _ = _run(capsys, "demo-polarization", "--n", "16",
-                        "--maverick", "1.5", "--format", "structured")
-    assert code == 2
-    report = json.loads(out)
-    assert report["maverick_coherent"] is False
-    assert report["conditioning_coherent"] is True
+    # A negative value reads the same after a space as after "=".
+    for maverick in (["--maverick", "1.5"], ["--maverick", "-1e3"],
+                     ["--maverick=-1e3"], ["--maverick", "-.5"]):
+        code, out, _ = _run(capsys, "demo-polarization", "--n", "16",
+                            *maverick, "--format", "structured")
+        assert code == 2
+        report = json.loads(out)
+        assert report["maverick_coherent"] is False
+        assert report["conditioning_coherent"] is True
 
 
 def test_demo_polarization_bits_file(capsys, tmp_path):
@@ -308,14 +311,16 @@ def test_demo_polarization_input_errors(capsys, tmp_path):
     junk.write_text("01x")
     code, _, err = _run(capsys, "demo-polarization", "--bits", str(junk))
     assert code == 1
-    # NaN and infinities are no JSON, and no value a price can take.
-    for value in ("nan", "inf", "-inf"):
-        for fmt in ("text", "structured"):
-            code, out, err = _run(capsys, "demo-polarization", "--n", "8",
-                                  f"--maverick={value}", "--format", fmt)
-            assert (code, out) == (1, "")
-            assert err == ("dutchbook: error: maverick value must be finite, "
-                           f"got {float(value)}\n")
+    # NaN and infinities are no JSON, and no value a price can take; each
+    # is refused alike after "=" and after a space.
+    for value in ("nan", "inf", "-inf", "-nan", "-Infinity"):
+        for maverick in ([f"--maverick={value}"], ["--maverick", value]):
+            for fmt in ("text", "structured"):
+                code, out, err = _run(capsys, "demo-polarization", "--n", "8",
+                                      *maverick, "--format", fmt)
+                assert (code, out) == (1, "")
+                assert err == ("dutchbook: error: maverick value must be "
+                               f"finite, got {float(value)}\n")
 
 
 def test_demo_quantum(capsys):

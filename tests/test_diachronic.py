@@ -408,3 +408,26 @@ def test_audits_match_reference_on_seeded_models(k, seed):
                 twin = _model(qs, weights, base, star)
                 assert conditioning_strategy_check(twin).coherent
                 _assert_audits_match_reference(twin, outcome.forced_q)
+
+
+def test_model_and_audits_add_no_fractions(monkeypatch):
+    # The joint is validated and summed once, in ints, and the audits read
+    # those sums: building a 1024-value strategy model and auditing it adds
+    # no two Fractions.
+    k, star = 1024, 17
+    rnd = random.Random(k)
+    qs = [F(v, 8 * k) for v in rnd.sample(range(8 * k + 1), k)]
+    weights = [rnd.randint(1, 8) for _ in range(4 * k)]
+    adds = []
+    for name in ("__add__", "__radd__"):
+        def counting(a, b, name=name, original=getattr(F, name)):
+            adds.append(name)
+            return original(a, b)
+        monkeypatch.setattr(F, name, counting)
+    m = _model(qs, weights, True, star)
+    violations = reflection_check(m)
+    outcome = conditioning_strategy_check(m, qs[star])
+    build_reflection_dutch_book(m, violations[0].q)
+    monkeypatch.undo()
+    assert violations and not outcome.coherent
+    assert adds == []

@@ -9,19 +9,16 @@ worked scenarios: betting on the bits of pi with the exact uniform-prior
 predictive, and reading a "decohered" predictive state off the reflection
 principle.
 
+The public names are the ones the `dutchbook` command and its benchmark
+use.  A witness or a joint is read as its pmf over the atoms; event
+probabilities and Boolean event algebra are left to callers.
+
 Only the quantum module needs numpy.  Its names are resolved on first
 access (PEP 562), so `import dutchbook` and the exact-arithmetic audits
 never load numpy.
 """
 
-from .beliefs import (
-    BeliefState,
-    Event,
-    OutcomeSpace,
-    SpaceMismatchError,
-    UndefinedConditionalError,
-    as_fraction,
-)
+from .beliefs import BeliefState, Event, OutcomeSpace, as_fraction
 from .diachronic import (
     ConditioningResult,
     NoViolationError,
@@ -70,18 +67,15 @@ _QUANTUM_NAMES = (
     "DensityOperator", "Instrument", "Povm", "QuantumError",
     "DimensionMismatchError", "NotTracePreservingError",
     "ZeroProbabilityOutcomeError", "TinyProbabilityOutcomeError",
-    "ProjectorFamilyError",
     "NotInformationallyCompleteError", "InconsistentProbabilitiesError",
     "first_outcome_probs", "post_state", "outcome_probs", "reflection_prob",
-    "decohered_state", "lueders_instrument", "lueders_decohere",
-    "is_informationally_complete", "reconstruct_state", "tetrahedron_povm",
+    "decohered_state", "is_informationally_complete", "reconstruct_state",
 )
 
 __all__ = [
     "__version__",
     # beliefs
     "OutcomeSpace", "Event", "BeliefState", "as_fraction",
-    "SpaceMismatchError", "UndefinedConditionalError",
     # synchronic
     "Assessment", "PriceBook", "Portfolio", "PortfolioLeg",
     "FarkasCertificate", "CoherenceResult", "CoherentBookError",

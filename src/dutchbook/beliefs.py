@@ -4,10 +4,9 @@ Everything here is exact: probabilities and payoffs are `fractions.Fraction`
 values, so audit verdicts built on top of this module are tolerance-free.
 All types are immutable after construction and safe to share across threads.
 
-A `BeliefState` is validated and summed in Python ints: its pmf is scaled
-once to integer numerators over one common denominator, the lcm of the
-masses' denominators, and every probability it reports is one `Fraction`
-built from an integer sum of those numerators.
+A `BeliefState` is validated in Python ints: its pmf is scaled once to
+integer numerators over one common denominator, the lcm of the masses'
+denominators, which the temporal audits sum without adding `Fraction`s.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "MAX_EXACT_CHARS",
     "MAX_EXPONENT",
     "Rational",
-    "SpaceMismatchError",
-    "UndefinedConditionalError",
     "as_fraction",
     "OutcomeSpace",
     "Event",
@@ -42,14 +39,6 @@ MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*$")
 
 Rational = Union[Fraction, int, str]
-
-
-class SpaceMismatchError(ValueError):
-    """Two objects built over different outcome spaces were combined."""
-
-
-class UndefinedConditionalError(ValueError):
-    """Conditioning on an event of probability zero."""
 
 
 def as_fraction(value: Rational) -> Fraction:
@@ -82,11 +71,6 @@ def _scaled(entries) -> tuple[int, list[int]]:
     """The lcm ``s`` of the denominators of `entries`, and ``s * entries`` in ints."""
     s = lcm(*(v.denominator for v in entries))
     return s, [v.numerator * (s // v.denominator) for v in entries]
-
-
-def _check_same_space(a, b) -> None:
-    if a.space is not b.space and a.space != b.space:
-        raise SpaceMismatchError("operands belong to different outcome spaces")
 
 
 @dataclass(frozen=True)
@@ -127,7 +111,7 @@ class OutcomeSpace:
 
 @dataclass(frozen=True)
 class Event:
-    """A subset of a space's atoms, closed under Boolean operations."""
+    """A subset of a space's atoms."""
 
     space: OutcomeSpace
     members: frozenset[int]
@@ -136,17 +120,6 @@ class Event:
         object.__setattr__(self, "members", frozenset(self.members))
         if not all(0 <= i < self.space.size for i in self.members):
             raise ValueError("event members out of range for its space")
-
-    def __and__(self, other: Event) -> Event:
-        _check_same_space(self, other)
-        return Event(self.space, self.members & other.members)
-
-    def __or__(self, other: Event) -> Event:
-        _check_same_space(self, other)
-        return Event(self.space, self.members | other.members)
-
-    def __invert__(self) -> Event:
-        return Event(self.space, frozenset(range(self.space.size)) - self.members)
 
     def __contains__(self, atom: int) -> bool:
         return atom in self.members
@@ -181,24 +154,3 @@ class BeliefState:
         """``(L, numerators)``: L is the lcm of the masses' denominators, and
         mass i is ``numerators[i] / L``."""
         return self._scaled_pmf
-
-    def _weight(self, e: Event) -> int:
-        # The event's probability times L.
-        numerators = self._scaled_pmf[1]
-        return sum(numerators[i] for i in e.members)
-
-    def prob(self, e: Event) -> Fraction:
-        """Probability of the event: the sum of its atoms' masses."""
-        _check_same_space(self, e)
-        return Fraction(self._weight(e), self._scaled_pmf[0])
-
-    def cond_prob(self, e: Event, d: Event) -> Fraction:
-        """Conditional probability prob(e and d) / prob(d), exactly."""
-        _check_same_space(self, e)
-        _check_same_space(self, d)
-        weight_d = self._weight(d)
-        if weight_d == 0:
-            raise UndefinedConditionalError(
-                "conditional probability undefined: condition has probability 0"
-            )
-        return Fraction(self._weight(e & d), weight_d)

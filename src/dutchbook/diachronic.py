@@ -19,7 +19,7 @@ A model sums its joint once, in ints: it reads the integer numerators its
 `BeliefState` validated over their common denominator, and stores every
 value cell's mass, E-mass, D-mass and (E and D)-mass.  The audits read
 those sums; each conditional they report is one `Fraction` of two stored
-integers, so an audit adds no fractions and builds no events.
+integers, so an audit adds no fractions.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .beliefs import (
-    BeliefState,
-    Event,
-    OutcomeSpace,
-    Rational,
-    as_fraction,
-)
+from .beliefs import BeliefState, OutcomeSpace, Rational, as_fraction
 from .synchronic import Assessment, Portfolio, PortfolioLeg, PriceBook
 
 __all__ = [
@@ -83,12 +77,7 @@ class TemporalModel:
     agent's t=tau value for E will be ``qs[i]``.
     """
 
-    def __init__(
-        self,
-        qs: Sequence[Rational],
-        joint: Mapping[tuple, Rational],
-        condition_label: str = "Q",
-    ):
+    def __init__(self, qs: Sequence[Rational], joint: Mapping[tuple, Rational]):
         self.qs = tuple(as_fraction(q) for q in qs)
         if len(set(self.qs)) != len(self.qs):
             raise ValueError("candidate future values must be distinct")
@@ -98,7 +87,6 @@ class TemporalModel:
         if key_lens - {2, 3} or len(key_lens) != 1:
             raise ValueError("joint keys must be uniformly (i, e) or (i, e, d)")
         self.has_base = key_lens == {3}
-        self.condition_label = condition_label
 
         # Each value cell's atoms are contiguous, one per (e, d) branch in
         # this order.
@@ -109,21 +97,11 @@ class TemporalModel:
         ]
         labels = []
         index = {}
-        cells = []
-        e_members = []
-        d_members = []
         for i, q in enumerate(self.qs):
             prefix = f"q={q},"
-            start = len(labels)
             for e, d, branch in branches:
-                idx = len(labels)
-                index[(i, e) if d is None else (i, e, d)] = idx
+                index[(i, e) if d is None else (i, e, d)] = len(labels)
                 labels.append(prefix + branch)
-                if e:
-                    e_members.append(idx)
-                if d:
-                    d_members.append(idx)
-            cells.append(frozenset(range(start, len(labels))))
         space = OutcomeSpace(labels)
         pmf = [_ZERO] * len(labels)
         for key, mass in joint.items():
@@ -131,9 +109,6 @@ class TemporalModel:
                 raise ValueError(f"joint key {key!r} does not match the model shape")
             pmf[index[key]] = as_fraction(mass)
         self.joint = BeliefState(space, tuple(pmf))
-        self._cells = tuple(cells)
-        self._e = frozenset(e_members)
-        self._d = frozenset(d_members)
 
         # Per value cell: its mass and the masses of E, D and (E and D)
         # within it, as numerators over the joint's common denominator.
@@ -163,7 +138,6 @@ class TemporalModel:
         qs: Sequence[Rational],
         masses: Sequence[Rational],
         e_given_q: Sequence[Rational],
-        condition_label: str = "Q",
     ) -> TemporalModel:
         """Build a base-event-free model from per-cell mass and P(E | cell)."""
         qs = [as_fraction(q) for q in qs]
@@ -175,23 +149,7 @@ class TemporalModel:
         for i, (m, c) in enumerate(zip(masses, conds)):
             joint[(i, True)] = m * c
             joint[(i, False)] = m * (1 - c)
-        return cls(qs, joint, condition_label)
-
-    @property
-    def space(self) -> OutcomeSpace:
-        return self.joint.space
-
-    def value_event(self, i: int) -> Event:
-        """Proposition: the t=tau value equals qs[i]."""
-        return Event(self.space, self._cells[i])
-
-    def e_event(self) -> Event:
-        return Event(self.space, self._e)
-
-    def d_event(self) -> Event:
-        if not self.has_base:
-            raise ValueError("model has no base event")
-        return Event(self.space, self._d)
+        return cls(qs, joint)
 
     def value_mass(self, i: int) -> Fraction:
         return Fraction(self._mass[i], self._scale)
@@ -250,13 +208,12 @@ def build_reflection_dutch_book(m: TemporalModel, q: Rational) -> Portfolio:
     """Sure-loss transactions against a positive-mass cell missing its value.
 
     The portfolio trades on a four-atom book over the branches (cell true
-    or not) x (E true or not), named ``Q&E`` ... ``~Q&~E`` after the model's
-    condition label.  Three legs: a called-off ticket on E given the cell
-    at the t=0 conditional, a bet on the cell of stake |gap|/2 at its mass,
-    and a t=tau trade on E, called off unless the cell is true, at the
-    announced value.  `synchronic.settle` gives strictly negative cash on
-    all four branches: -(mass+1)*|gap|/2 when the cell is true,
-    -mass*|gap|/2 when false.
+    or not) x (E true or not), named ``Q&E`` ... ``~Q&~E``.  Three legs: a
+    called-off ticket on E given the cell at the t=0 conditional, a bet on
+    the cell of stake |gap|/2 at its mass, and a t=tau trade on E, called
+    off unless the cell is true, at the announced value.
+    `synchronic.settle` gives strictly negative cash on all four branches:
+    -(mass+1)*|gap|/2 when the cell is true, -mass*|gap|/2 when false.
     """
     q = as_fraction(q)
     try:
@@ -268,7 +225,7 @@ def build_reflection_dutch_book(m: TemporalModel, q: Rational) -> Portfolio:
     cond = Fraction(m._e_mass[i], m._mass[i])
     if cond == q:
         raise NoViolationError(f"no violation at value {q}; conditional equals it")
-    return _three_leg_book(m.value_mass(i), cond, q, m.condition_label)
+    return _three_leg_book(m.value_mass(i), cond, q, "Q")
 
 
 @dataclass(frozen=True)

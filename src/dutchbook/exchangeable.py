@@ -66,12 +66,6 @@ class BitString:
     def ones(self) -> int:
         return self.bits.count(1)
 
-    def __add__(self, other: BitString) -> BitString:
-        return BitString(self.bits + other.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
 
 def predictive_next(s: BitString) -> Fraction:
     """Probability that the bit after the string is a zero.

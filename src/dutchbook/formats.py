@@ -38,7 +38,6 @@ __all__ = [
     "parse_quantum_scenario",
     "load_quantum_file",
     "matrix_to_pairs",
-    "matrix_from_pairs",
     "render_structured",
 ]
 
@@ -237,7 +236,7 @@ def matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(matrix).reshape(-1)]
 
 
-def matrix_from_pairs(pairs: Any, dim: int, field: str) -> np.ndarray:
+def _matrix_from_pairs(pairs: Any, dim: int, field: str) -> np.ndarray:
     import numpy as np
 
     if not isinstance(pairs, list) or len(pairs) != dim * dim:
@@ -274,8 +273,8 @@ def parse_quantum_scenario(data: Any) -> QuantumScenario:
         _fail("scenario.dim", f"expected an integer >= 2, got {dim!r}")
 
     try:
-        rho0 = DensityOperator(
-            matrix_from_pairs(_get(data, "rho0", "scenario"), dim, "scenario.rho0"))
+        rho0 = DensityOperator(_matrix_from_pairs(
+            _get(data, "rho0", "scenario"), dim, "scenario.rho0"))
     except ValueError as exc:
         raise AuditFileError(f"scenario.rho0: {exc}") from None
 
@@ -288,7 +287,7 @@ def parse_quantum_scenario(data: Any) -> QuantumScenario:
         if not isinstance(kraus_list, list) or not kraus_list:
             _fail(here, "expected a non-empty list of Kraus matrices")
         outcomes.append(tuple(
-            matrix_from_pairs(k, dim, f"{here}[{j}]")
+            _matrix_from_pairs(k, dim, f"{here}[{j}]")
             for j, k in enumerate(kraus_list)
         ))
     try:
@@ -301,7 +300,7 @@ def parse_quantum_scenario(data: Any) -> QuantumScenario:
         _fail("scenario.povm", "expected a non-empty list of effects")
     try:
         povm = Povm(tuple(
-            matrix_from_pairs(e, dim, f"scenario.povm[{j}]")
+            _matrix_from_pairs(e, dim, f"scenario.povm[{j}]")
             for j, e in enumerate(raw_povm)
         ))
     except AuditFileError:

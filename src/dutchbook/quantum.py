@@ -9,11 +9,12 @@ informationally complete, rho'_0 is the unique operator reproducing
 those probabilities, and linear inversion recovers it.
 
 Instruments are stored in Kraus form so complete positivity is structural
-rather than numerically checked.  Tolerances: 1e-10 for structural
-invariants (Hermiticity, trace, identity sums), 1e-12 for algebraic
-identities at small dimension, eigenvalue floor -1e-10, 1e-12 for a zero
-outcome probability, 1e-8 for the residual of a state reconstruction.  A
-structural check whose value overflows to inf or NaN fails, silently.
+rather than numerically checked; a projective (Lueders) measurement is the
+instrument with its projectors as the Kraus operators, one per outcome.
+Tolerances: 1e-10 for structural invariants (Hermiticity, trace, identity
+sums), eigenvalue floor -1e-10, 1e-12 for a zero outcome probability, 1e-8
+for the residual of a state reconstruction.  A structural check whose
+value overflows to inf or NaN fails, silently.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "STRUCT_TOL",
-    "ALG_TOL",
     "EIG_FLOOR",
     "ZERO_PROB_TOL",
     "RECONSTRUCT_TOL",
@@ -34,7 +34,6 @@ __all__ = [
     "NotTracePreservingError",
     "ZeroProbabilityOutcomeError",
     "TinyProbabilityOutcomeError",
-    "ProjectorFamilyError",
     "NotInformationallyCompleteError",
     "InconsistentProbabilitiesError",
     "DensityOperator",
@@ -45,17 +44,12 @@ __all__ = [
     "outcome_probs",
     "reflection_prob",
     "decohered_state",
-    "lueders_instrument",
-    "lueders_decohere",
     "is_informationally_complete",
     "reconstruct_state",
-    "tetrahedron_povm",
 ]
 
 #: Structural invariants: Hermiticity, unit trace, resolutions of identity.
 STRUCT_TOL = 1e-10
-#: Algebraic identities on small dimensions.
-ALG_TOL = 1e-12
 #: Most negative eigenvalue tolerated in a positive-semidefinite check.
 EIG_FLOOR = -1e-10
 #: Outcome probability at or below which `post_state` refuses to normalize:
@@ -85,10 +79,6 @@ class ZeroProbabilityOutcomeError(QuantumError):
 class TinyProbabilityOutcomeError(ZeroProbabilityOutcomeError):
     """The outcome's probability is above zero but too small to normalize
     its image into a state in floating point."""
-
-
-class ProjectorFamilyError(QuantumError):
-    """The supplied matrices are not an orthogonal projective decomposition."""
 
 
 class NotInformationallyCompleteError(QuantumError):
@@ -148,12 +138,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def from_ket(cls, ket) -> DensityOperator:
-        v = np.asarray(ket, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,48 +299,6 @@ def decohered_state(ins: Instrument, rho0: DensityOperator) -> DensityOperator:
     return DensityOperator(total)
 
 
-@_quiet
-def _validate_projectors(projectors) -> list[np.ndarray]:
-    ps = [_as_square(p, f"projector {i}") for i, p in enumerate(projectors)]
-    if not ps:
-        raise ProjectorFamilyError("projector family is empty")
-    dim = ps[0].shape[0]
-    for i, p in enumerate(ps):
-        if p.shape[0] != dim:
-            raise ProjectorFamilyError("projectors mix dimensions")
-        if _off(p - p.conj().T):
-            raise ProjectorFamilyError(f"projector {i} is not Hermitian")
-        if _off(p @ p - p):
-            raise ProjectorFamilyError(f"projector {i} is not idempotent")
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            if _off(ps[i] @ ps[j]):
-                raise ProjectorFamilyError(
-                    f"projectors {i} and {j} are not orthogonal")
-    if _off(sum(ps) - np.eye(dim)):
-        raise ProjectorFamilyError("projectors do not sum to the identity")
-    return ps
-
-
-def lueders_instrument(projectors) -> Instrument:
-    """The projective instrument rho -> Pi_i rho Pi_i, one Kraus per outcome."""
-    ps = _validate_projectors(projectors)
-    return Instrument(tuple((p,) for p in ps))
-
-
-def lueders_decohere(projectors, rho0: DensityOperator) -> DensityOperator:
-    """Projective special case: sum_i Pi_i rho_0 Pi_i.
-
-    Zeroes the blocks of rho_0 off-diagonal with respect to the projector
-    decomposition; applying it twice equals applying it once.
-    """
-    ps = _validate_projectors(projectors)
-    if ps[0].shape[0] != rho0.dim:
-        raise DimensionMismatchError(
-            f"projectors act on dim {ps[0].shape[0]}, state on dim {rho0.dim}")
-    return DensityOperator(sum(p @ rho0.matrix @ p for p in ps))
-
-
 def _frame_matrix(pov: Povm) -> np.ndarray:
     """Rows vec(E_j^T), so that frame @ vec(rho) = [tr(E_j rho)]_j."""
     return np.stack([e.T.reshape(-1) for e in pov.effects])
@@ -397,20 +339,3 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     rho = vec.reshape(d, d)
     rho = rho / 2 + rho.conj().T / 2
     return DensityOperator(rho)
-
-
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-def tetrahedron_povm() -> Povm:
-    """The qubit SIC POVM: four effects (I + v_j . sigma)/4 on tetrahedron axes."""
-    s = 1 / np.sqrt(3.0)
-    vectors = [(s, s, s), (s, -s, -s), (-s, s, -s), (-s, -s, s)]
-    eye = np.eye(2, dtype=complex)
-    return Povm(tuple(
-        (eye + sum(c * p for c, p in zip(v, _PAULI))) / 4 for v in vectors
-    ))

@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .beliefs import (
-    BeliefState,
-    Event,
-    OutcomeSpace,
-    Rational,
-    as_fraction,
-)
+from .beliefs import BeliefState, Event, OutcomeSpace, as_fraction
 from .simplex import solve_equality_feasibility
 
 __all__ = [
@@ -180,23 +174,16 @@ def check_coherence(book: PriceBook) -> CoherenceResult:
     return CoherenceResult(None, FarkasCertificate(y[0], tuple(y[1:])))
 
 
-def build_dutch_book(
-    book: PriceBook,
-    certificate: FarkasCertificate | None,
-    worst_loss: Rational = 1,
-) -> Portfolio:
+def build_dutch_book(book: PriceBook,
+                     certificate: FarkasCertificate | None) -> Portfolio:
     """Turn a Farkas certificate into an explicit sure-loss portfolio.
 
     The returned legs follow the certificate's sign pattern (positive
     multiplier: buy, negative: sell) and are scaled so the largest per-atom
-    loss equals `worst_loss` dollars exactly; every atom settles strictly
-    negative for the agent.
+    loss is exactly $1; every atom settles strictly negative for the agent.
     """
     if certificate is None:
         raise CoherentBookError("no sure-loss portfolio exists for a coherent book")
-    worst_loss = as_fraction(worst_loss)
-    if worst_loss <= 0:
-        raise ValueError("worst_loss must be positive")
     quantities = certificate.multipliers
     if len(quantities) != len(book.assessments):
         raise ValueError("certificate does not match the book")
@@ -208,7 +195,7 @@ def build_dutch_book(
     worst = min(nets)
     if max(nets) >= 0:
         raise ValueError("certificate does not yield a sure loss on this book")
-    scale = worst_loss / -worst
+    scale = _ONE / -worst
     legs = [
         PortfolioLeg(i, "buy" if q > 0 else "sell", abs(q) * scale)
         for i, q in enumerate(quantities)

@@ -1,8 +1,10 @@
 """Random and fixed quantum inputs for the test suites.
 
-Haar-random unitaries, states, instruments, POVMs and projector families,
-and the qubit's computational-basis projectors.  The library never calls
-these; the tests build their scenarios from them.
+Haar-random unitaries, states, instruments, POVMs and projector families;
+pure states, projective (Lueders) instruments, the qubit's
+computational-basis projectors and its tetrahedron POVM; and the tolerance
+the tests hold algebraic identities to.  The library never calls these;
+the tests build their scenarios from them.
 """
 
 from typing import Sequence
@@ -11,11 +13,43 @@ import numpy as np
 
 from dutchbook.quantum import DensityOperator, Instrument, Povm
 
+#: Algebraic identities on small dimensions.
+ALG_TOL = 1e-12
+
+_PAULI = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def pure_state(ket) -> DensityOperator:
+    """|v><v| for the normalized ket v."""
+    v = np.asarray(ket, dtype=complex).reshape(-1)
+    v = v / np.linalg.norm(v)
+    return DensityOperator(np.outer(v, v.conj()))
+
+
+def lueders_instrument(projectors) -> Instrument:
+    """The projective instrument rho -> P_i rho P_i, one Kraus operator per
+    outcome."""
+    return Instrument(tuple((p,) for p in projectors))
+
 
 def z_basis_projectors() -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 computational-basis projectors on a qubit."""
     return (np.diag([1.0, 0.0]).astype(complex),
             np.diag([0.0, 1.0]).astype(complex))
+
+
+def tetrahedron_povm() -> Povm:
+    """The qubit SIC POVM: four effects (I + v_j . sigma)/4 on tetrahedron axes."""
+    s = 1 / np.sqrt(3.0)
+    vectors = [(s, s, s), (s, -s, -s), (-s, s, -s), (-s, -s, s)]
+    eye = np.eye(2, dtype=complex)
+    return Povm(tuple(
+        (eye + sum(c * p for c, p in zip(v, _PAULI))) / 4 for v in vectors
+    ))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:

@@ -22,16 +22,33 @@ from dutchbook.diachronic import (
     reflection_check,
 )
 from dutchbook.synchronic import Portfolio, PortfolioLeg, settle
+from belief_fixtures import cond_prob, prob
 
 WORKED = dict(qs=(F(1, 2), F(1, 4)), masses=(F(2, 5), F(3, 5)),
               e_given_q=(F(7, 10), F(1, 4)))
+
+
+def _atom_sets(m):
+    """Atom-index sets of each value cell, of E and of D, read off the
+    joint's atom labels "q=<value>,<E or ~E>[,<D or ~D>]"."""
+    cell_of = {q: i for i, q in enumerate(m.qs)}
+    cells = [set() for _ in m.qs]
+    e, d = set(), set()
+    for atom, label in enumerate(m.joint.space.atoms):
+        value, *branch = label.split(",")
+        cells[cell_of[F(value.removeprefix("q="))]].add(atom)
+        if branch[0] == "E":
+            e.add(atom)
+        if branch[1:] == ["D"]:
+            d.add(atom)
+    return cells, e, d
 
 
 def _goldstein_sides(m):
     """Goldstein's identity as two sides: the t=0 average of the announced
     values, sum of mass * q over the value cells, and P0(E)."""
     averaged = sum((m.value_mass(i) * q for i, q in enumerate(m.qs)), F(0))
-    return averaged, m.joint.prob(m.e_event())
+    return averaged, prob(m.joint, _atom_sets(m)[1])
 
 
 def _all_branches(portfolio):
@@ -162,9 +179,6 @@ def test_temporal_model_validation():
         TemporalModel((F(1, 2),), {(4, True): F(1)})
     with pytest.raises(ValueError):  # masses must total 1
         TemporalModel((F(1, 2),), {(0, True): F(1, 3)})
-    no_base = TemporalModel((F(1, 2),), {(0, True): F(1, 2), (0, False): F(1, 2)})
-    with pytest.raises(ValueError):
-        no_base.d_event()
 
 
 CONDITIONING = {
@@ -233,7 +247,8 @@ def test_bijection_case_reflection_and_conditioning_agree():
     assert reflection_check(m) == []
     outcome = conditioning_strategy_check(m)
     assert outcome.coherent
-    assert outcome.forced_q == m.joint.cond_prob(m.e_event(), m.d_event())
+    _, e, d = _atom_sets(m)
+    assert outcome.forced_q == cond_prob(m.joint, e, d)
 
 
 _q = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -279,20 +294,19 @@ def test_reflection_models_satisfy_goldstein(cells):
 
 # ------------------------------------------------ reference (quadratic) audits
 #
-# The two audits below are the earlier cell-by-cell versions, kept verbatim as
-# references: each cell's mass and conditional come from a fresh sum over the
-# whole joint.  The library versions read every cell from one pass and must
-# agree with them exactly.
+# The two audits below are the earlier cell-by-cell versions, kept as
+# references: each cell's mass and conditional come from a fresh Fraction sum
+# over the joint's pmf, on atom sets read off its labels.  The library
+# versions read every cell from one pass and must agree with them exactly.
 
 
 def _reference_reflection_check(m):
     violations = []
-    e = m.e_event()
-    for i, q in enumerate(m.qs):
-        cell = m.value_event(i)
-        if m.joint.prob(cell) == 0:
+    cells, e, _ = _atom_sets(m)
+    for q, cell in zip(m.qs, cells):
+        if prob(m.joint, cell) == 0:
             continue
-        cond = m.joint.cond_prob(e, cell)
+        cond = cond_prob(m.joint, e, cell)
         if cond != q:
             violations.append(Violation(q, cond, cond - q))
     return violations
@@ -301,13 +315,13 @@ def _reference_reflection_check(m):
 def _reference_conditioning_strategy_check(m, declared_q=None):
     if not m.has_base:
         raise StrategyNotAdoptedError("model carries no base event to learn")
-    d_event = m.d_event()
-    d_mass = m.joint.prob(d_event)
+    cells, e, d = _atom_sets(m)
+    d_mass = prob(m.joint, d)
     if d_mass == 0:
         raise StrategyNotAdoptedError("base event has probability zero")
     certain = [
-        i for i in range(len(m.qs))
-        if m.joint.cond_prob(m.value_event(i), d_event) == 1
+        i for i, cell in enumerate(cells)
+        if cond_prob(m.joint, cell, d) == 1
     ]
     if len(certain) != 1:
         raise StrategyNotAdoptedError(
@@ -318,7 +332,7 @@ def _reference_conditioning_strategy_check(m, declared_q=None):
         raise StrategyNotAdoptedError(
             f"declared value {declared_q} differs from the encoded value {adopted}"
         )
-    forced = m.joint.cond_prob(m.e_event(), d_event)
+    forced = cond_prob(m.joint, e, d)
     if forced == adopted:
         return ConditioningResult(forced, adopted, None)
     book = _three_leg_book(d_mass, forced, adopted, "D")

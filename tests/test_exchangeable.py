@@ -21,6 +21,10 @@ def _zeros_then_ones(k, n):
     return BitString((0,) * k + (1,) * (n - k))
 
 
+def _text(s):
+    return "".join(map(str, s.bits))
+
+
 # ---------------------------------------------------------------- bit strings
 
 
@@ -28,11 +32,6 @@ def test_bitstring_from_text_ignores_whitespace():
     s = BitString.from_text(" 0 1\n1\t0 ")
     assert s.bits == (0, 1, 1, 0)
     assert (s.n, s.zeros, s.ones) == (4, 2, 2)
-    assert str(s) == "0110"
-
-
-def test_bitstring_concatenation():
-    assert BitString((0,)) + BitString((1, 1)) == BitString((0, 1, 1))
 
 
 def test_bitstring_rejects_junk():
@@ -68,7 +67,7 @@ _strings = st.lists(st.integers(min_value=0, max_value=1),
 @settings(max_examples=80, deadline=None)
 @given(_strings)
 def test_predictive_is_ratio_of_marginals(s):
-    ratio = _uniform_marginal(s + BitString((0,))) / _uniform_marginal(s)
+    ratio = _uniform_marginal(BitString(s.bits + (0,))) / _uniform_marginal(s)
     assert predictive_next(s) == ratio
 
 
@@ -77,9 +76,9 @@ def test_predictive_is_ratio_of_marginals(s):
 
 def test_pi_bits_known_prefixes():
     assert pi_fractional_bits(0) == BitString(())
-    assert str(pi_fractional_bits(1)) == "0"
-    assert str(pi_fractional_bits(4)) == "0010"
-    assert str(pi_fractional_bits(16)) == "0010010000111111"
+    assert _text(pi_fractional_bits(1)) == "0"
+    assert _text(pi_fractional_bits(4)) == "0010"
+    assert _text(pi_fractional_bits(16)) == "0010010000111111"
 
 
 def test_pi_bits_range_errors():
@@ -97,7 +96,7 @@ def test_pi_bits_match_arbitrary_precision_oracle():
     for n in (256, 4001, MAX_PI_BITS):
         with mpmath.workprec(n + 80):
             scaled = int(mpmath.floor(mpmath.ldexp(+mpmath.pi - 3, n)))
-        assert str(pi_fractional_bits(n)) == format(scaled, f"0{n}b")
+        assert _text(pi_fractional_bits(n)) == format(scaled, f"0{n}b")
 
 
 def _arctan_inv_scaled(x: int, bits: int) -> int:
@@ -128,12 +127,12 @@ def _reference_pi_bits(n: int) -> str:
 
 def test_pi_bits_match_machin_reference():
     for n in range(1, 2001):
-        assert str(pi_fractional_bits(n)) == _reference_pi_bits(n), n
+        assert _text(pi_fractional_bits(n)) == _reference_pi_bits(n), n
 
 
 def test_pi_bits_prefixes_are_stable():
-    long = str(pi_fractional_bits(250))
-    assert str(pi_fractional_bits(200)) == long[:200]
+    long = _text(pi_fractional_bits(250))
+    assert _text(pi_fractional_bits(200)) == long[:200]
 
 
 # ------------------------------------------------------------------- scenario

@@ -14,12 +14,12 @@ from dutchbook.formats import (
     AuditFileError,
     load_audit_file,
     load_quantum_file,
-    matrix_from_pairs,
     matrix_to_pairs,
     parse_audit_document,
     parse_quantum_scenario,
     render_structured,
 )
+from quantum_fixtures import random_density
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -361,24 +361,38 @@ def test_missing_scenario_fields_named():
 
 
 def test_matrix_pairs_round_trip(rng):
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    pairs = matrix_to_pairs(m)
+    rho = random_density(3, rng).matrix
+    pairs = matrix_to_pairs(rho)
     assert len(pairs) == 9
-    back = matrix_from_pairs(pairs, 3, "m")
-    assert np.abs(back - m).max() == 0.0
+    eye = matrix_to_pairs(np.eye(3))
+    sc = parse_quantum_scenario({"dim": 3, "rho0": pairs,
+                                 "instrument": [[eye]], "povm": [eye]})
+    assert np.abs(sc.rho0.matrix - rho).max() == 0.0
 
 
 def test_matrix_from_pairs_errors():
-    with pytest.raises(AuditFileError, match="m: expected 4"):
-        matrix_from_pairs([[1, 0]], 2, "m")
-    with pytest.raises(AuditFileError, match=r"m\[1\]"):
-        matrix_from_pairs([[1, 0], "x", [0, 0], [1, 0]], 2, "m")
-    with pytest.raises(AuditFileError, match=r"m\[0\]"):  # bools are not numbers
-        matrix_from_pairs([[True, False], [0, 0], [0, 0], [0, 0]], 2, "m")
-    with pytest.raises(AuditFileError, match=r"m\[3\]"):
-        matrix_from_pairs([[1, 0], [0, 0], [0, 0], [1, 0, 0]], 2, "m")
-    with pytest.raises(AuditFileError, match=r"m\[1\]: number too large"):
-        matrix_from_pairs([[1, 0], [0, 10**400], [0, 0], [1, 0]], 2, "m")
+    # Every matrix of a scenario is read by one parser; its errors name the
+    # matrix's field and the offending pair.
+    too_many = "expected 4 [re, im] pairs (row-major)"
+    not_a_pair = "expected an [re, im] pair of numbers"
+    bad = [
+        ([[1, 0]], "", too_many),
+        ([[1, 0], "x", [0, 0], [1, 0]], "[1]", not_a_pair),
+        ([[True, False], [0, 0], [0, 0], [1, 0]], "[0]", not_a_pair),  # bools
+        ([[1, 0], [0, 0], [0, 0], [1, 0, 0]], "[3]", not_a_pair),
+        ([[1, 0], [0, 10**400], [0, 0], [1, 0]], "[1]",
+         "number too large for a float"),
+    ]
+    z1 = [[0, 0], [0, 0], [0, 0], [1, 0]]
+    for pairs, index, problem in bad:
+        for field, data in (
+                ("scenario.rho0", _minimal_scenario(rho0=pairs)),
+                ("scenario.instrument[0][0]",
+                 _minimal_scenario(instrument=[[pairs]])),
+                ("scenario.povm[0]", _minimal_scenario(povm=[pairs, z1]))):
+            with pytest.raises(AuditFileError) as exc:
+                parse_quantum_scenario(data)
+            assert str(exc.value).endswith(f"{field}{index}: {problem}")
 
 
 # ------------------------------------------------------------------ rendering

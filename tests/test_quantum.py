@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dutchbook.quantum import (
-    ALG_TOL,
     STRUCT_TOL,
     ZERO_PROB_TOL,
     DensityOperator,
@@ -16,27 +15,27 @@ from dutchbook.quantum import (
     NotInformationallyCompleteError,
     NotTracePreservingError,
     Povm,
-    ProjectorFamilyError,
     QuantumError,
     TinyProbabilityOutcomeError,
     ZeroProbabilityOutcomeError,
     decohered_state,
     first_outcome_probs,
     is_informationally_complete,
-    lueders_decohere,
-    lueders_instrument,
     outcome_probs,
     post_state,
     reconstruct_state,
     reflection_prob,
-    tetrahedron_povm,
 )
 from dutchbook.quantum import _frame_matrix
 from quantum_fixtures import (
+    ALG_TOL,
+    lueders_instrument,
+    pure_state,
     random_density,
     random_instrument,
     random_povm,
     random_projector_family,
+    tetrahedron_povm,
     z_basis_projectors,
 )
 
@@ -67,8 +66,7 @@ def _six_effect_povm():
 
 def test_exceptions_share_a_base():
     for err in (DimensionMismatchError, NotTracePreservingError,
-                ZeroProbabilityOutcomeError, ProjectorFamilyError,
-                NotInformationallyCompleteError,
+                ZeroProbabilityOutcomeError, NotInformationallyCompleteError,
                 InconsistentProbabilitiesError):
         assert issubclass(err, QuantumError)
     assert issubclass(TinyProbabilityOutcomeError, ZeroProbabilityOutcomeError)
@@ -88,13 +86,13 @@ def test_density_operator_validation():
 
 
 def test_density_operator_from_ket_normalizes():
-    rho = DensityOperator.from_ket([2.0, 0.0])
+    rho = pure_state([2.0, 0.0])
     assert np.abs(rho.matrix - np.diag([1.0, 0.0])).max() <= ALG_TOL
     assert rho.dim == 2
 
 
 def test_density_operator_matrix_is_read_only():
-    rho = DensityOperator.from_ket(KET0)
+    rho = pure_state(KET0)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.5
 
@@ -114,7 +112,6 @@ def test_overflowing_checks_fail_without_warnings():
     # Finite entries whose sums or products overflow: each check value is
     # inf or NaN, which must fail the check, and numpy must stay silent.
     big = np.diag([1e308, 1e308]).astype(complex)
-    p0 = np.diag([1.0, 0.0]).astype(complex)
     cases = [
         (ValueError, "trace must be 1, got inf",
          lambda: DensityOperator(np.full((2, 2), 1e308, dtype=complex))),
@@ -124,8 +121,6 @@ def test_overflowing_checks_fail_without_warnings():
         (NotTracePreservingError, "identity",
          lambda: Instrument(((np.diag([1e200 + 1e200j, 0.0]),),))),
         (ValueError, "sum to the identity", lambda: Povm((big, big))),
-        (ProjectorFamilyError, "idempotent",
-         lambda: lueders_instrument((1e308 * p0, EYE2 - p0))),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -158,12 +153,12 @@ def test_povm_validation():
 
 
 def test_first_outcome_probs_on_plus_state():
-    probs = first_outcome_probs(_z_instrument(), DensityOperator.from_ket(PLUS))
+    probs = first_outcome_probs(_z_instrument(), pure_state(PLUS))
     assert np.abs(np.array(probs) - 0.5).max() <= ALG_TOL
 
 
 def test_first_outcome_probs_on_basis_state():
-    probs = first_outcome_probs(_z_instrument(), DensityOperator.from_ket(KET0))
+    probs = first_outcome_probs(_z_instrument(), pure_state(KET0))
     assert abs(probs[0] - 1.0) <= ALG_TOL
     assert abs(probs[1]) <= ALG_TOL
 
@@ -175,13 +170,13 @@ def test_first_outcome_probs_dimension_mismatch():
 
 
 def test_post_state_collapses_plus_to_basis():
-    rho = DensityOperator.from_ket(PLUS)
+    rho = pure_state(PLUS)
     post = post_state(_z_instrument(), 0, rho)
     assert np.abs(post.matrix - np.diag([1.0, 0.0])).max() <= ALG_TOL
 
 
 def test_post_state_zero_probability_outcome():
-    rho = DensityOperator.from_ket(KET0)
+    rho = pure_state(KET0)
     with pytest.raises(ZeroProbabilityOutcomeError):
         post_state(_z_instrument(), 1, rho)
 
@@ -192,7 +187,7 @@ def _rotated_scenario(theta, eps, phase):
     c, s = np.cos(theta), np.sin(theta)
     u0 = np.array([c, s], dtype=complex)
     u1 = np.array([-s, c], dtype=complex)
-    rho = DensityOperator.from_ket(u0 + eps * phase * u1)
+    rho = pure_state(u0 + eps * phase * u1)
     ins = lueders_instrument((np.outer(u0, u0.conj()), np.outer(u1, u1.conj())))
     return rho, ins, u1
 
@@ -240,7 +235,7 @@ def test_post_state_of_a_too_small_outcome_has_no_posterior():
 
 
 def test_outcome_probs_born_rule():
-    probs = outcome_probs(_x_povm(), DensityOperator.from_ket(PLUS))
+    probs = outcome_probs(_x_povm(), pure_state(PLUS))
     assert abs(probs[0] - 1.0) <= ALG_TOL
     assert abs(probs[1]) <= ALG_TOL
     flat = outcome_probs(tetrahedron_povm(), DensityOperator(EYE2 / 2))
@@ -252,7 +247,7 @@ def test_outcome_probs_born_rule():
 
 def test_trivial_instrument_changes_nothing():
     identity_ins = Instrument(((EYE2,),))
-    rho = DensityOperator.from_ket(PLUS)
+    rho = pure_state(PLUS)
     reflected = reflection_prob(identity_ins, _x_povm(), rho)
     assert np.abs(np.array(reflected)
                   - np.array(outcome_probs(_x_povm(), rho))).max() <= ALG_TOL
@@ -263,7 +258,7 @@ def test_trivial_instrument_changes_nothing():
 def test_headline_scenario_plus_state_z_then_x():
     # A sharp first measurement in a conjugate basis wipes out the
     # interference the direct assignment relies on.
-    rho = DensityOperator.from_ket(PLUS)
+    rho = pure_state(PLUS)
     ins = _z_instrument()
     pov = _x_povm()
     reflected = reflection_prob(ins, pov, rho)
@@ -291,7 +286,7 @@ def test_reflection_matches_posterior_average(rng):
 
 def test_reflection_handles_zero_probability_branches():
     # The unnormalized double sum must not choke on an impossible outcome.
-    rho = DensityOperator.from_ket(KET0)
+    rho = pure_state(KET0)
     reflected = reflection_prob(_z_instrument(), _x_povm(), rho)
     assert np.abs(np.array(reflected) - 0.5).max() <= ALG_TOL
 
@@ -311,7 +306,7 @@ def test_decohered_state_carries_all_predictions(rng):
 def test_unitary_instrument_decoheres_to_rotation():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
     ins = Instrument(((hadamard,),))
-    rho = DensityOperator.from_ket(KET0)
+    rho = pure_state(KET0)
     rho_dec = decohered_state(ins, rho)
     expected = hadamard @ rho.matrix @ hadamard.conj().T
     assert np.abs(rho_dec.matrix - expected).max() <= ALG_TOL
@@ -322,21 +317,21 @@ def test_unitary_instrument_decoheres_to_rotation():
 
 def test_lueders_zeroes_off_diagonal_terms(rng):
     rho = random_density(2, rng)
-    result = lueders_decohere(z_basis_projectors(), rho)
+    result = decohered_state(lueders_instrument(z_basis_projectors()), rho)
     expected = np.diag(np.diag(rho.matrix))
     assert np.abs(result.matrix - expected).max() <= ALG_TOL
 
 
 def test_lueders_with_identity_family_is_identity(rng):
     rho = random_density(3, rng)
-    result = lueders_decohere((np.eye(3, dtype=complex),), rho)
+    result = decohered_state(lueders_instrument((np.eye(3, dtype=complex),)), rho)
     assert np.abs(result.matrix - rho.matrix).max() <= ALG_TOL
 
 
 def test_lueders_zeroes_cross_blocks(rng):
     ps = random_projector_family(4, (2, 2), rng)
     rho = random_density(4, rng)
-    result = lueders_decohere(ps, rho).matrix
+    result = decohered_state(lueders_instrument(ps), rho).matrix
     cross = ps[0] @ result @ ps[1]
     assert np.abs(cross).max() <= ALG_TOL
     # Diagonal blocks survive untouched.
@@ -348,8 +343,9 @@ def test_lueders_is_idempotent(rng):
     for dim, ranks in ((2, (1, 1)), (3, (1, 2)), (4, (2, 2))):
         ps = random_projector_family(dim, ranks, rng)
         rho = random_density(dim, rng)
-        once = lueders_decohere(ps, rho)
-        twice = lueders_decohere(ps, once)
+        ins = lueders_instrument(ps)
+        once = decohered_state(ins, rho)
+        twice = decohered_state(ins, once)
         assert np.abs(twice.matrix - once.matrix).max() <= ALG_TOL
 
 
@@ -357,26 +353,8 @@ def test_lueders_matches_general_instrument(rng):
     ps = random_projector_family(3, (1, 2), rng)
     rho = random_density(3, rng)
     via_instrument = decohered_state(lueders_instrument(ps), rho)
-    direct = lueders_decohere(ps, rho)
-    assert np.abs(via_instrument.matrix - direct.matrix).max() <= ALG_TOL
-
-
-def test_projector_family_rejections():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(ProjectorFamilyError):
-        lueders_instrument(())
-    with pytest.raises(ProjectorFamilyError):
-        lueders_instrument((np.array([[0.0, 1.0], [0.0, 0.0]]), p0))
-    with pytest.raises(ProjectorFamilyError):
-        lueders_instrument((EYE2 / 2, EYE2 / 2))  # not idempotent
-    with pytest.raises(ProjectorFamilyError):
-        lueders_instrument((p0, p0))  # not orthogonal
-    with pytest.raises(ProjectorFamilyError):
-        lueders_instrument((p0,))  # does not sum to identity
-    with pytest.raises(ProjectorFamilyError):
-        lueders_instrument((p0, np.eye(3, dtype=complex)))
-    with pytest.raises(DimensionMismatchError):
-        lueders_decohere(z_basis_projectors(), DensityOperator(np.eye(3) / 3))
+    direct = sum(p @ rho.matrix @ p for p in ps)
+    assert np.abs(via_instrument.matrix - direct).max() <= ALG_TOL
 
 
 # --------------------------------------------------- informational completeness
@@ -469,7 +447,7 @@ def test_z_basis_projectors_form_valid_family():
     z0, z1 = z_basis_projectors()
     assert np.abs(z0 - np.diag([1.0, 0.0])).max() == 0.0
     assert np.abs(z1 - np.diag([0.0, 1.0])).max() == 0.0
-    lueders_instrument((z0, z1))  # validates the family
+    lueders_instrument((z0, z1))  # trace preserving: z0 + z1 = I
 
 
 # ------------------------------------------------------------------ ensembles
@@ -499,7 +477,12 @@ def test_random_povm_shapes_and_completeness(rng):
 
 def test_random_projector_family_validates(rng):
     ps = random_projector_family(4, (1, 3), rng)
-    lueders_instrument(ps)  # validates ranks, orthogonality, completeness
+    for i, p in enumerate(ps):
+        assert np.abs(p - p.conj().T).max() <= STRUCT_TOL
+        assert np.abs(p @ p - p).max() <= STRUCT_TOL
+        for other in ps[i + 1:]:
+            assert np.abs(p @ other).max() <= STRUCT_TOL
+    assert np.abs(sum(ps) - np.eye(4)).max() <= STRUCT_TOL
     assert [int(round(p.trace().real)) for p in ps] == [1, 3]
     with pytest.raises(ValueError):
         random_projector_family(4, (1, 2), rng)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutchbook.beliefs import BeliefState, OutcomeSpace
+from dutchbook.beliefs import BeliefState, Event, OutcomeSpace
 from dutchbook.synchronic import (
     Assessment,
     CoherentBookError,
@@ -17,6 +17,7 @@ from dutchbook.synchronic import (
     check_coherence,
     settle,
 )
+from belief_fixtures import cond_prob, prob
 
 
 def _book(space, *specs):
@@ -48,7 +49,7 @@ def test_consistent_book_is_coherent_with_exact_witness():
     assert result.coherent
     w = result.witness
     for a in book.assessments:
-        assert w.prob(a.event) == a.price
+        assert prob(w, a.event.members) == a.price
 
 
 def test_complementary_overpricing_is_incoherent():
@@ -58,13 +59,12 @@ def test_complementary_overpricing_is_incoherent():
     assert not result.coherent
     portfolio = build_dutch_book(book, result.certificate)
     amounts = _verify_sure_loss(book, portfolio)
-    # Normalized scale: the worst atom loses exactly $1.
-    assert min(amounts) == F(-1)
-    # Buying both unit tickets costs 1.2 against a certain $1 payout,
-    # so at scale 1/5 the net is -$0.2 on every atom.
-    fifth = build_dutch_book(book, result.certificate, worst_loss=F(1, 5))
-    assert _verify_sure_loss(book, fifth) == [F(-1, 5), F(-1, 5)]
-    assert {leg.direction for leg in fifth.legs} == {"buy"}
+    # Buying both unit tickets costs 1.2 against a certain $1 payout, a
+    # net of -$0.2 on every atom; scaled so the worst atom loses exactly
+    # $1, that is five of each.
+    assert amounts == [F(-1), F(-1)]
+    assert [(leg.direction, leg.quantity) for leg in portfolio.legs] == [
+        ("buy", 5), ("buy", 5)]
 
 
 def test_two_prices_for_one_event():
@@ -107,7 +107,8 @@ def test_called_off_price_constrains_only_inside_condition():
     assert result.coherent
     w = result.witness
     a = book.assessments[0]
-    assert w.prob(a.event & a.condition) == a.price * w.prob(a.condition)
+    cond = a.condition.members
+    assert prob(w, a.event.members & cond) == a.price * prob(w, cond)
 
 
 def test_settle_basics():
@@ -153,14 +154,6 @@ def test_empty_book_and_bad_prices_are_rejected():
         Assessment(space.event(["e"]), F(-1, 5))
 
 
-def test_worst_loss_must_be_positive():
-    space = OutcomeSpace(["e", "not_e"])
-    book = _book(space, (["e"], "3/5"), (["not_e"], "3/5"))
-    cert = check_coherence(book).certificate
-    with pytest.raises(ValueError):
-        build_dutch_book(book, cert, worst_loss=0)
-
-
 _price = st.fractions(min_value=0, max_value=1, max_denominator=10)
 
 
@@ -171,8 +164,6 @@ def _random_book(draw, max_atoms=6, max_assessments=5):
     count = draw(st.integers(min_value=1, max_value=max_assessments))
     assessments = []
     subsets = st.frozensets(st.integers(min_value=0, max_value=n - 1))
-    from dutchbook.beliefs import Event
-
     for _ in range(count):
         event = Event(space, draw(subsets))
         price = draw(_price)
@@ -192,10 +183,12 @@ def test_exactly_one_of_witness_or_sure_loss(book):
         assert result.certificate is None
         w = result.witness
         for a in book.assessments:
+            event = a.event.members
             if a.condition is None:
-                assert w.prob(a.event) == a.price
+                assert prob(w, event) == a.price
             else:
-                assert w.prob(a.event & a.condition) == a.price * w.prob(a.condition)
+                cond = a.condition.members
+                assert prob(w, event & cond) == a.price * prob(w, cond)
     else:
         assert result.witness is None
         portfolio = build_dutch_book(book, result.certificate)
@@ -212,16 +205,14 @@ def test_books_priced_by_a_measure_are_coherent(data):
     space = OutcomeSpace([f"w{i}" for i in range(n)])
     total = sum(weights)
     state = BeliefState(space, tuple(F(w, total) for w in weights))
-    from dutchbook.beliefs import Event
-
     subsets = st.frozensets(st.integers(min_value=0, max_value=n - 1))
     assessments = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
         event = Event(space, data.draw(subsets))
         cond = Event(space, data.draw(subsets))
-        if state.prob(cond) > 0:
-            assessments.append(
-                Assessment(event, state.cond_prob(event, cond), cond))
+        if prob(state, cond.members) > 0:
+            price = cond_prob(state, event.members, cond.members)
+            assessments.append(Assessment(event, price, cond))
         else:
-            assessments.append(Assessment(event, state.prob(event)))
+            assessments.append(Assessment(event, prob(state, event.members)))
     assert check_coherence(PriceBook(space, tuple(assessments))).coherent

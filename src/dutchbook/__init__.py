@@ -2,12 +2,12 @@
 two-time quantum measurement scenario.
 
 Synchronic and diachronic (temporal) probability assignments are checked
-for coherence in exact rational arithmetic; incoherent assignments come
-back with an explicit portfolio of transactions losing money in every
-possible world.  The exchangeable-prior and quantum modules carry the two
-worked scenarios: betting on the bits of pi with the exact uniform-prior
-predictive, and reading a "decohered" predictive state off the reflection
-principle.
+for coherence in exact rational arithmetic; each audit returns, for an
+incoherent assignment, an explicit portfolio of transactions losing money
+in every possible world.  The exchangeable-prior and quantum modules
+carry the two worked scenarios: betting on the bits of pi with the exact
+uniform-prior predictive, and reading a "decohered" predictive state off
+the reflection principle.
 
 The public names are the ones the `dutchbook` command and its benchmark
 use.  A witness or a joint is read as its pmf over the atoms; event
@@ -21,12 +21,10 @@ never load numpy.
 from .beliefs import BeliefState, Event, OutcomeSpace, as_fraction
 from .diachronic import (
     ConditioningResult,
-    NoViolationError,
-    PositivityError,
+    ReflectionResult,
     StrategyNotAdoptedError,
     TemporalModel,
     Violation,
-    build_reflection_dutch_book,
     conditioning_strategy_check,
     reflection_check,
 )
@@ -51,12 +49,9 @@ from .formats import (
 from .synchronic import (
     Assessment,
     CoherenceResult,
-    CoherentBookError,
-    FarkasCertificate,
     Portfolio,
     PortfolioLeg,
     PriceBook,
-    build_dutch_book,
     check_coherence,
     settle,
 )
@@ -78,12 +73,11 @@ __all__ = [
     "OutcomeSpace", "Event", "BeliefState", "as_fraction",
     # synchronic
     "Assessment", "PriceBook", "Portfolio", "PortfolioLeg",
-    "FarkasCertificate", "CoherenceResult", "CoherentBookError",
-    "check_coherence", "build_dutch_book", "settle",
+    "CoherenceResult", "check_coherence", "settle",
     # diachronic
-    "TemporalModel", "Violation", "ConditioningResult", "PositivityError",
-    "NoViolationError", "StrategyNotAdoptedError", "reflection_check",
-    "build_reflection_dutch_book", "conditioning_strategy_check",
+    "TemporalModel", "Violation", "ReflectionResult", "ConditioningResult",
+    "StrategyNotAdoptedError", "reflection_check",
+    "conditioning_strategy_check",
     # exchangeable
     "BitString", "ScenarioReport", "MAX_PI_BITS", "predictive_next",
     "pi_fractional_bits", "scenario_report",

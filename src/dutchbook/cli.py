@@ -26,7 +26,6 @@ from .beliefs import Event
 from .diachronic import (
     StrategyNotAdoptedError,
     TemporalModel,
-    build_reflection_dutch_book,
     conditioning_strategy_check,
     reflection_check,
 )
@@ -38,13 +37,7 @@ from .formats import (
     matrix_to_pairs,
     render_structured,
 )
-from .synchronic import (
-    Portfolio,
-    PriceBook,
-    build_dutch_book,
-    check_coherence,
-    settle,
-)
+from .synchronic import Portfolio, PriceBook, check_coherence, settle
 
 __all__ = ["main"]
 
@@ -154,7 +147,7 @@ def _synchronic_audit(book: PriceBook) -> tuple[int, dict]:
             "portfolio": None,
             "losses": None,
         }
-    portfolio = build_dutch_book(book, result.certificate)
+    portfolio = result.portfolio
     legs = [
         {
             "assessment": leg.assessment,
@@ -202,7 +195,7 @@ def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
 
 def _temporal_audit(model: TemporalModel,
                     declared_q: Fraction | None) -> tuple[int, dict]:
-    violations = reflection_check(model)
+    reflection = reflection_check(model)
     strategy = None
     strategy_book = None
     if declared_q is not None:
@@ -217,15 +210,14 @@ def _temporal_audit(model: TemporalModel,
         }
         strategy_book = outcome.portfolio
 
-    portfolio = (build_reflection_dutch_book(model, violations[0].q)
-                 if violations else strategy_book)
+    portfolio = reflection.portfolio or strategy_book
     report = {
         "kind": "temporal-audit",
         "verdict": "incoherent" if portfolio else "coherent",
         "violations": [
             {"q": _exact(v.q), "conditional": _exact(v.conditional),
              "gap": _exact(v.gap)}
-            for v in violations
+            for v in reflection.violations
         ],
         "portfolio": _portfolio_rows(portfolio) if portfolio else None,
         "losses": _losses(portfolio) if portfolio else None,
@@ -269,17 +261,22 @@ def _cmd_demo_reflection(args) -> tuple[int, dict]:
 
 
 def _cmd_demo_polarization(args) -> tuple[int, dict]:
-    try:
-        if args.bits:
+    observed = None
+    if args.bits:
+        try:
             with open(args.bits, encoding="utf-8") as fh:
                 observed = BitString.from_text(fh.read())
-            n = args.n if args.n is not None else observed.n
-        else:
+        except OSError as exc:
+            raise AuditFileError(f"{args.bits}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # not UTF-8, or not a 0/1 character
+            raise AuditFileError(f"{args.bits}: {exc}") from None
+    try:
+        if observed is None:
             n = args.n if args.n is not None else 4000
             observed = pi_fractional_bits(n)
+        else:
+            n = args.n if args.n is not None else observed.n
         result = scenario_report(n, observed, args.maverick)
-    except OSError as exc:
-        raise AuditFileError(f"{args.bits}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise AuditFileError(str(exc)) from None
 

@@ -5,12 +5,14 @@ A `TemporalModel` is a t=0 joint distribution over propositions
 together with E itself, and optionally a base event D whose truth will be
 revealed at t=tau.  The tools here:
 
-* detect violations of the constraint P0(E | Ptau(E)=q) = q;
-* build the canonical three-transaction sure-loss portfolio against any
-  violation: a price book on the four (condition, E) branches whose last
-  leg is a trade committed for t=tau, settled by `synchronic.settle`;
-* recover strict conditionalization as the special case where one event D
-  determines the future value with certainty.
+* `reflection_check` reports every violation of the constraint
+  P0(E | Ptau(E)=q) = q, together with the canonical three-transaction
+  sure-loss portfolio against the first one: a price book on the four
+  (condition, E) branches whose last leg is a trade committed for t=tau,
+  settled by `synchronic.settle`;
+* `conditioning_strategy_check` recovers strict conditionalization as the
+  special case where one event D determines the future value with
+  certainty, and builds the same portfolio with D as the condition.
 
 Money at the two times trades at par: a zero interest rate is hard-coded.
 Negative realized amounts are agent losses.
@@ -32,13 +34,11 @@ from .beliefs import BeliefState, OutcomeSpace, Rational, as_fraction
 from .synchronic import Assessment, Portfolio, PortfolioLeg, PriceBook
 
 __all__ = [
-    "PositivityError",
-    "NoViolationError",
     "StrategyNotAdoptedError",
     "Violation",
     "TemporalModel",
+    "ReflectionResult",
     "reflection_check",
-    "build_reflection_dutch_book",
     "ConditioningResult",
     "conditioning_strategy_check",
 ]
@@ -46,14 +46,6 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
-
-
-class PositivityError(ValueError):
-    """The targeted future-value proposition has probability zero."""
-
-
-class NoViolationError(ValueError):
-    """A sure-loss portfolio was requested where no violation exists."""
 
 
 class StrategyNotAdoptedError(ValueError):
@@ -155,21 +147,40 @@ class TemporalModel:
         return Fraction(self._mass[i], self._scale)
 
 
-def reflection_check(m: TemporalModel) -> list[Violation]:
+@dataclass(frozen=True)
+class ReflectionResult:
+    """Every reflection violation, and a sure-loss book against the first."""
+
+    violations: list[Violation]
+    portfolio: Portfolio | None
+
+
+def reflection_check(m: TemporalModel) -> ReflectionResult:
     """Report every positive-mass value cell whose conditional misses it.
 
     Zero-mass cells are skipped: with nothing staked on the proposition, no
-    transaction can be hung on it.  An empty list means the model's t=0
-    conditionals match the announced future values exactly.
+    transaction can be hung on it.  No violations means the model's t=0
+    conditionals match the announced future values exactly, and the
+    portfolio is None.  Otherwise the portfolio is the three-leg book on
+    the branches (cell true or not) x (E true or not), named ``Q&E`` ...
+    ``~Q&~E``, against the first violating cell: a called-off ticket on E
+    given the cell at the t=0 conditional, a bet on the cell of stake
+    |gap|/2 at its mass, and a t=tau trade on E, called off unless the
+    cell is true, at the announced value.  `synchronic.settle` gives
+    strictly negative cash on all four branches: -(mass+1)*|gap|/2 when
+    the cell is true, -mass*|gap|/2 when false.
     """
     violations = []
-    for q, cell_mass, cell_e in zip(m.qs, m._mass, m._e_mass):
+    portfolio = None
+    for i, (q, cell_mass, cell_e) in enumerate(zip(m.qs, m._mass, m._e_mass)):
         # cell_e / cell_mass == q, compared without building the Fraction.
         if cell_mass == 0 or cell_e * q.denominator == q.numerator * cell_mass:
             continue
         cond = Fraction(cell_e, cell_mass)
         violations.append(Violation(q, cond, cond - q))
-    return violations
+        if portfolio is None:
+            portfolio = _three_leg_book(m.value_mass(i), cond, q, "Q")
+    return ReflectionResult(violations, portfolio)
 
 
 def _three_leg_book(
@@ -202,30 +213,6 @@ def _three_leg_book(
         PortfolioLeg(1, "buy", abs(gap) * _HALF),
         PortfolioLeg(2, inner, _ONE, "t_tau"),
     ))
-
-
-def build_reflection_dutch_book(m: TemporalModel, q: Rational) -> Portfolio:
-    """Sure-loss transactions against a positive-mass cell missing its value.
-
-    The portfolio trades on a four-atom book over the branches (cell true
-    or not) x (E true or not), named ``Q&E`` ... ``~Q&~E``.  Three legs: a
-    called-off ticket on E given the cell at the t=0 conditional, a bet on
-    the cell of stake |gap|/2 at its mass, and a t=tau trade on E, called
-    off unless the cell is true, at the announced value.
-    `synchronic.settle` gives strictly negative cash on all four branches:
-    -(mass+1)*|gap|/2 when the cell is true, -mass*|gap|/2 when false.
-    """
-    q = as_fraction(q)
-    try:
-        i = m.qs.index(q)
-    except ValueError:
-        raise ValueError(f"{q} is not among the model's candidate values") from None
-    if m._mass[i] == 0:
-        raise PositivityError(f"cell for value {q} has probability zero")
-    cond = Fraction(m._e_mass[i], m._mass[i])
-    if cond == q:
-        raise NoViolationError(f"no violation at value {q}; conditional equals it")
-    return _three_leg_book(m.value_mass(i), cond, q, "Q")
 
 
 @dataclass(frozen=True)

@@ -272,9 +272,10 @@ def parse_quantum_scenario(data: Any) -> QuantumScenario:
     if not isinstance(dim, int) or dim < 2:
         _fail("scenario.dim", f"expected an integer >= 2, got {dim!r}")
 
+    rho0_matrix = _matrix_from_pairs(_get(data, "rho0", "scenario"), dim,
+                                     "scenario.rho0")
     try:
-        rho0 = DensityOperator(_matrix_from_pairs(
-            _get(data, "rho0", "scenario"), dim, "scenario.rho0"))
+        rho0 = DensityOperator(rho0_matrix)
     except ValueError as exc:
         raise AuditFileError(f"scenario.rho0: {exc}") from None
 
@@ -298,13 +299,12 @@ def parse_quantum_scenario(data: Any) -> QuantumScenario:
     raw_povm = _get(data, "povm", "scenario")
     if not isinstance(raw_povm, list) or not raw_povm:
         _fail("scenario.povm", "expected a non-empty list of effects")
+    effects = tuple(
+        _matrix_from_pairs(e, dim, f"scenario.povm[{j}]")
+        for j, e in enumerate(raw_povm)
+    )
     try:
-        povm = Povm(tuple(
-            _matrix_from_pairs(e, dim, f"scenario.povm[{j}]")
-            for j, e in enumerate(raw_povm)
-        ))
-    except AuditFileError:
-        raise
+        povm = Povm(effects)
     except Exception as exc:
         raise AuditFileError(f"scenario.povm: {exc}") from None
     return QuantumScenario(rho0, instrument, povm)

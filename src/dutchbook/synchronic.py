@@ -3,7 +3,8 @@
 A book of announced ticket prices is coherent exactly when some probability
 measure reproduces every price.  The audit solves that question as an exact
 linear feasibility problem over the atoms; an infeasible book yields a
-Farkas certificate whose sign pattern is an explicit sure-loss portfolio.
+Farkas certificate, and the audit turns its sign pattern into an explicit
+sure-loss portfolio.
 
 Conventions for tickets (the $1 stake is the unit):
 
@@ -24,24 +25,17 @@ from .beliefs import BeliefState, Event, OutcomeSpace, as_fraction
 from .simplex import solve_equality_feasibility
 
 __all__ = [
-    "CoherentBookError",
     "Assessment",
     "PriceBook",
     "PortfolioLeg",
     "Portfolio",
-    "FarkasCertificate",
     "CoherenceResult",
     "check_coherence",
-    "build_dutch_book",
     "settle",
 ]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class CoherentBookError(ValueError):
-    """A sure-loss portfolio was requested for a coherent book."""
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,7 @@ class Assessment:
 
     def net_buy_payoff(self, atom: int) -> Fraction:
         """Settlement cash to a buyer of one ticket, price already paid."""
-        if self.condition is None:
-            won = atom in self.event
-            return (_ONE if won else _ZERO) - self.price
-        if atom not in self.condition:
+        if self.condition is not None and atom not in self.condition:
             return _ZERO  # refund cancels the price
         won = atom in self.event
         return (_ONE if won else _ZERO) - self.price
@@ -131,21 +122,11 @@ class Portfolio:
 
 
 @dataclass(frozen=True)
-class FarkasCertificate:
-    """Dual multipliers proving price infeasibility.
-
-    `normalization` multiplies the total-mass-one row; `multipliers` hold one
-    entry per assessment, whose sign pattern encodes buy/sell directions.
-    """
-
-    normalization: Fraction
-    multipliers: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class CoherenceResult:
+    """A witness measure for a coherent book, or a sure-loss portfolio."""
+
     witness: BeliefState | None
-    certificate: FarkasCertificate | None
+    portfolio: Portfolio | None
 
     @property
     def coherent(self) -> bool:
@@ -156,8 +137,8 @@ def check_coherence(book: PriceBook) -> CoherenceResult:
     """Decide whether some probability measure reproduces every price.
 
     Coherent books come back with a witness belief state satisfying each
-    price constraint exactly; incoherent books come back with a Farkas
-    certificate for `build_dutch_book`.
+    price constraint exactly; incoherent books come back with a sure-loss
+    portfolio built from the Farkas certificate of the infeasible system.
     """
     if not book.assessments:
         raise ValueError("cannot audit an empty book")
@@ -170,23 +151,18 @@ def check_coherence(book: PriceBook) -> CoherenceResult:
     result = solve_equality_feasibility(rows, rhs)
     if result.feasible:
         return CoherenceResult(BeliefState(book.space, result.solution), None)
-    y = result.certificate
-    return CoherenceResult(None, FarkasCertificate(y[0], tuple(y[1:])))
+    # The first multiplier is the total-mass-one row's; the rest price the
+    # assessments, one each.
+    return CoherenceResult(None, _dutch_book(book, result.certificate[1:]))
 
 
-def build_dutch_book(book: PriceBook,
-                     certificate: FarkasCertificate | None) -> Portfolio:
-    """Turn a Farkas certificate into an explicit sure-loss portfolio.
+def _dutch_book(book: PriceBook, quantities: tuple[Fraction, ...]) -> Portfolio:
+    """Turn a certificate's price multipliers into a sure-loss portfolio.
 
-    The returned legs follow the certificate's sign pattern (positive
-    multiplier: buy, negative: sell) and are scaled so the largest per-atom
-    loss is exactly $1; every atom settles strictly negative for the agent.
+    The returned legs follow the multipliers' sign pattern (positive:
+    buy, negative: sell) and are scaled so the largest per-atom loss is
+    exactly $1; every atom settles strictly negative for the agent.
     """
-    if certificate is None:
-        raise CoherentBookError("no sure-loss portfolio exists for a coherent book")
-    quantities = certificate.multipliers
-    if len(quantities) != len(book.assessments):
-        raise ValueError("certificate does not match the book")
     nets = [
         sum((q * a.net_buy_payoff(atom) for q, a in zip(quantities, book.assessments)),
             _ZERO)

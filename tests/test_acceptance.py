@@ -17,7 +17,7 @@ import numpy as np
 
 from dutchbook.beliefs import BeliefState, OutcomeSpace
 from dutchbook.cli import main
-from dutchbook.diachronic import TemporalModel, build_reflection_dutch_book
+from dutchbook.diachronic import TemporalModel, reflection_check
 from dutchbook.exchangeable import BitString, pi_fractional_bits, predictive_next
 from dutchbook.quantum import (
     NotInformationallyCompleteError,
@@ -31,7 +31,6 @@ from dutchbook.quantum import (
 from dutchbook.synchronic import (
     Assessment,
     PriceBook,
-    build_dutch_book,
     check_coherence,
     settle,
 )
@@ -78,7 +77,7 @@ def test_criterion_01(capsys):
                 masses=(F(2, 5), F(3, 5)),
                 e_given_q=(F(7, 10), F(1, 4)),
             )
-            portfolio = build_reflection_dutch_book(model, F(1, 2))
+            portfolio = reflection_check(model).portfolio
             assert settle(portfolio, "Q&E") == F(-7, 50)
             assert settle(portfolio, "Q&~E") == F(-7, 50)
             assert settle(portfolio, "~Q&E") == F(-1, 25)
@@ -104,7 +103,7 @@ def test_criterion_02(capsys, seed):
                 masses=(mass, 1 - mass),
                 e_given_q=(conditional, other),
             )
-            portfolio = build_reflection_dutch_book(model, declared)
+            portfolio = reflection_check(model).portfolio
             for branch in portfolio.book.space.atoms:
                 assert settle(portfolio, branch) < 0
         assert time.perf_counter() - start < 5.0
@@ -181,9 +180,8 @@ def _verify_verdict(book):
                 assert (prob(witness, event & cond)
                         == a.price * prob(witness, cond))
         return
-    portfolio = build_dutch_book(book, result.certificate)
     for atom in book.space.atoms:
-        assert settle(portfolio, atom) < 0
+        assert settle(result.portfolio, atom) < 0
 
 
 def test_criterion_04(capsys, seed):

@@ -307,10 +307,20 @@ def test_demo_polarization_input_errors(capsys, tmp_path):
     code, _, err = _run(capsys, "demo-polarization", "--bits",
                         str(tmp_path / "nope.txt"))
     assert code == 1
+    # A file that is not UTF-8, or holds a character other than 0 or 1, is
+    # named in its error line.
     junk = tmp_path / "junk.txt"
     junk.write_text("01x")
-    code, _, err = _run(capsys, "demo-polarization", "--bits", str(junk))
-    assert code == 1
+    code, out, err = _run(capsys, "demo-polarization", "--bits", str(junk))
+    assert (code, out) == (1, "")
+    assert err == (f"dutchbook: error: {junk}: unexpected character 'x' "
+                   "in bit data\n")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"01\xff")
+    code, out, err = _run(capsys, "demo-polarization", "--bits", str(binary))
+    assert (code, out) == (1, "")
+    assert err == (f"dutchbook: error: {binary}: 'utf-8' codec can't decode "
+                   "byte 0xff in position 2: invalid start byte\n")
     # NaN and infinities are no JSON, and no value a price can take; each
     # is refused alike after "=" and after a space.
     for value in ("nan", "inf", "-inf", "-nan", "-Infinity"):
@@ -494,6 +504,16 @@ def test_sample_text_output_is_byte_stable(capsys, name, argv, want_code):
     code, out, err = _run(capsys, *_sample_argv(argv), "--format", "text")
     assert (code, err) == (want_code, "")
     assert out.encode("utf-8") == (EXPECTED_TEXT / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv, want_code", SAMPLE_COMMANDS,
+                         ids=[c[0] for c in SAMPLE_COMMANDS])
+def test_sample_structured_output_is_byte_stable(capsys, name, argv, want_code):
+    # The benchmark's recorded reports, read and never written here.
+    expected = ROOT / "bench" / "expected" / f"{name}.json"
+    code, out, err = _run(capsys, *_sample_argv(argv), "--format", "structured")
+    assert (code, err) == (want_code, "")
+    assert out.encode("utf-8") == expected.read_bytes()
 
 
 def test_structured_runs_render_no_text(capsys, monkeypatch):

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from dutchbook.beliefs import as_fraction
 from dutchbook.diachronic import (
     ConditioningResult,
-    NoViolationError,
-    PositivityError,
+    ReflectionResult,
     StrategyNotAdoptedError,
     TemporalModel,
     Violation,
     _three_leg_book,
-    build_reflection_dutch_book,
     conditioning_strategy_check,
     reflection_check,
 )
@@ -62,13 +60,13 @@ def test_reflection_by_construction_has_no_violations():
     m = TemporalModel.from_conditionals(
         qs=(F(1, 5), F(4, 5)), masses=(F(1, 4), F(3, 4)),
         e_given_q=(F(1, 5), F(4, 5)))
-    assert reflection_check(m) == []
+    assert reflection_check(m).violations == []
     assert _goldstein_sides(m) == (F(13, 20), F(13, 20))
 
 
 def test_worked_example_violation():
     m = TemporalModel.from_conditionals(**WORKED)
-    violations = reflection_check(m)
+    violations = reflection_check(m).violations
     assert len(violations) == 1
     v = violations[0]
     assert (v.q, v.conditional, v.gap) == (F(1, 2), F(7, 10), F(1, 5))
@@ -78,7 +76,7 @@ def test_zero_mass_values_are_skipped():
     m = TemporalModel((F(1, 2), F(9, 10)),
                       {(0, True): F(1, 2), (0, False): F(1, 2),
                        (1, True): F(0), (1, False): F(0)})
-    assert reflection_check(m) == []
+    assert reflection_check(m).violations == []
 
 
 def test_goldstein_point_mass_and_indicator():
@@ -97,13 +95,13 @@ def test_goldstein_requires_reflection():
     # The worked violation: averaged values 2/5*1/2 + 3/5*1/4 = 7/20, while
     # P0(E) = 2/5*7/10 + 3/5*1/4 = 43/100.
     m = TemporalModel.from_conditionals(**WORKED)
-    assert reflection_check(m)
+    assert reflection_check(m).violations
     assert _goldstein_sides(m) == (F(7, 20), F(43, 100))
 
 
 def test_worked_example_book_loses_exact_amounts():
     m = TemporalModel.from_conditionals(**WORKED)
-    book = build_reflection_dutch_book(m, F(1, 2))
+    book = reflection_check(m).portfolio
     assert book.book.space.atoms == ("Q&E", "Q&~E", "~Q&E", "~Q&~E")
     # Called-off E given Q at the conditional, Q at its mass with stake
     # |gap|/2, and E given Q at the announced value, traded at t=tau.
@@ -125,7 +123,7 @@ def test_mirrored_gap_loses_the_same_amounts():
     m = TemporalModel.from_conditionals(
         qs=(F(1, 2), F(1, 4)), masses=(F(2, 5), F(3, 5)),
         e_given_q=(F(3, 10), F(1, 4)))
-    book = build_reflection_dutch_book(m, F(1, 2))
+    book = reflection_check(m).portfolio
     branches = _all_branches(book)
     assert branches[(True, True)] == F(-7, 50)
     assert branches[(True, False)] == F(-7, 50)
@@ -134,24 +132,28 @@ def test_mirrored_gap_loses_the_same_amounts():
     assert [leg.direction for leg in book.legs] == ["sell", "buy", "buy"]
 
 
+def test_two_violations_book_against_the_first():
+    # The first cell meets its value; the next two miss theirs, and the book
+    # is priced at the first violation's conditional and cell mass.
+    m = TemporalModel.from_conditionals(
+        qs=(F(1, 4), F(1, 2), F(1, 5)), masses=(F(1, 2), F(3, 10), F(1, 5)),
+        e_given_q=(F(1, 4), F(7, 10), F(1, 10)))
+    result = reflection_check(m)
+    assert result == _reference_reflection_check(m)
+    assert [v.q for v in result.violations] == [F(1, 2), F(1, 5)]
+    assert [a.price for a in result.portfolio.book.assessments] == [
+        F(7, 10), F(3, 10), F(1, 2)]
+    assert _all_branches(result.portfolio)[(True, True)] == F(-13, 100)
+
+
 def test_book_requires_a_violation_and_positive_mass():
     fine = TemporalModel.from_conditionals(
         qs=(F(1, 2),), masses=(F(1),), e_given_q=(F(1, 2),))
-    with pytest.raises(NoViolationError):
-        build_reflection_dutch_book(fine, F(1, 2))
-
-    hollow = TemporalModel((F(1, 2), F(1, 3)),
-                           {(0, True): F(1, 2), (0, False): F(1, 2),
-                            (1, True): F(0), (1, False): F(0)})
-    with pytest.raises(PositivityError):
-        build_reflection_dutch_book(hollow, F(1, 3))
-    with pytest.raises(ValueError):
-        build_reflection_dutch_book(hollow, F(9, 10))
+    assert reflection_check(fine).portfolio is None
 
 
 def test_realize_empty_portfolio():
-    book = build_reflection_dutch_book(
-        TemporalModel.from_conditionals(**WORKED), F(1, 2)).book
+    book = reflection_check(TemporalModel.from_conditionals(**WORKED)).portfolio.book
     assert settle(Portfolio(book, ()), "Q&~E") == 0
 
 
@@ -162,8 +164,7 @@ def test_timed_leg_validation():
         PortfolioLeg(0, "buy", F(1), "later")
     with pytest.raises(ValueError):
         PortfolioLeg(0, "hold", F(1), "t0")
-    book = build_reflection_dutch_book(
-        TemporalModel.from_conditionals(**WORKED), F(1, 2)).book
+    book = reflection_check(TemporalModel.from_conditionals(**WORKED)).portfolio.book
     with pytest.raises(ValueError, match="called-off"):  # assessment 1 is on Q
         Portfolio(book, (PortfolioLeg(1, "buy", F(1), "t_tau"),))
 
@@ -244,7 +245,7 @@ def test_bijection_case_reflection_and_conditioning_agree():
         (1, True, False): F(1, 5), (1, False, False): F(2, 5),
     }
     m = TemporalModel((F(3, 4), F(1, 3)), joint)
-    assert reflection_check(m) == []
+    assert reflection_check(m).violations == []
     outcome = conditioning_strategy_check(m)
     assert outcome.coherent
     _, e, d = _atom_sets(m)
@@ -265,7 +266,7 @@ def test_any_gap_loses_on_every_branch(declared, conditional, mass):
     m = TemporalModel.from_conditionals(
         qs=(declared, other), masses=(mass, 1 - mass),
         e_given_q=(conditional, other))
-    book = build_reflection_dutch_book(m, declared)
+    book = reflection_check(m).portfolio
     branches = _all_branches(book)
     assert all(v < 0 for v in branches.values())
     gap = abs(conditional - declared)
@@ -287,7 +288,7 @@ def test_reflection_models_satisfy_goldstein(cells):
     qs = [q for q, _ in cells]
     masses = [F(w, total) for _, w in cells]
     m = TemporalModel.from_conditionals(qs=qs, masses=masses, e_given_q=qs)
-    assert reflection_check(m) == []
+    assert reflection_check(m).violations == []
     expected = sum(mass * q for q, mass in zip(qs, masses))
     assert _goldstein_sides(m) == (expected, expected)
 
@@ -302,14 +303,18 @@ def test_reflection_models_satisfy_goldstein(cells):
 
 def _reference_reflection_check(m):
     violations = []
+    book = None
     cells, e, _ = _atom_sets(m)
     for q, cell in zip(m.qs, cells):
-        if prob(m.joint, cell) == 0:
+        mass = prob(m.joint, cell)
+        if mass == 0:
             continue
         cond = cond_prob(m.joint, e, cell)
         if cond != q:
             violations.append(Violation(q, cond, cond - q))
-    return violations
+            if book is None:
+                book = _three_leg_book(mass, cond, q, "Q")
+    return ReflectionResult(violations, book)
 
 
 def _reference_conditioning_strategy_check(m, declared_q=None):
@@ -402,7 +407,7 @@ def test_audits_match_reference_on_seeded_models(k, seed):
     weights = [max(0, rnd.randint(-2, 8)) for _ in range(k - 1)] + [1]
     m = TemporalModel.from_conditionals(
         qs, [F(w, sum(weights)) for w in weights], qs)
-    assert reflection_check(m) == []
+    assert reflection_check(m).violations == []
     _assert_audits_match_reference(m, qs[0])
     for base in (False, True):
         for star in ((None, rnd.randrange(k)) if base else (None,)):
@@ -439,9 +444,8 @@ def test_model_and_audits_add_no_fractions(monkeypatch):
             return original(a, b)
         monkeypatch.setattr(F, name, counting)
     m = _model(qs, weights, True, star)
-    violations = reflection_check(m)
+    reflection = reflection_check(m)
     outcome = conditioning_strategy_check(m, qs[star])
-    build_reflection_dutch_book(m, violations[0].q)
     monkeypatch.undo()
-    assert violations and not outcome.coherent
+    assert reflection.portfolio is not None and not outcome.coherent
     assert adds == []

@@ -392,7 +392,7 @@ def test_matrix_from_pairs_errors():
                 ("scenario.povm[0]", _minimal_scenario(povm=[pairs, z1]))):
             with pytest.raises(AuditFileError) as exc:
                 parse_quantum_scenario(data)
-            assert str(exc.value).endswith(f"{field}{index}: {problem}")
+            assert str(exc.value) == f"{field}{index}: {problem}"
 
 
 # ------------------------------------------------------------------ rendering

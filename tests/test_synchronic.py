@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from dutchbook.beliefs import BeliefState, Event, OutcomeSpace
 from dutchbook.synchronic import (
     Assessment,
-    CoherentBookError,
     Portfolio,
     PortfolioLeg,
     PriceBook,
-    build_dutch_book,
     check_coherence,
     settle,
 )
@@ -57,7 +55,7 @@ def test_complementary_overpricing_is_incoherent():
     book = _book(space, (["e"], "3/5"), (["not_e"], "3/5"))
     result = check_coherence(book)
     assert not result.coherent
-    portfolio = build_dutch_book(book, result.certificate)
+    portfolio = result.portfolio
     amounts = _verify_sure_loss(book, portfolio)
     # Buying both unit tickets costs 1.2 against a certain $1 payout, a
     # net of -$0.2 on every atom; scaled so the worst atom loses exactly
@@ -72,7 +70,7 @@ def test_two_prices_for_one_event():
     book = _book(space, (["e"], "1/5"), (["e"], "2/5"))
     result = check_coherence(book)
     assert not result.coherent
-    portfolio = build_dutch_book(book, result.certificate)
+    portfolio = result.portfolio
     _verify_sure_loss(book, portfolio)
     directions = {leg.assessment: leg.direction for leg in portfolio.legs}
     # Directions are the assessor's forced trades: sell the underpriced
@@ -87,8 +85,7 @@ def test_product_rule_violation_is_incoherent():
     book = _book(space, (["ed"], "3/10"), (d, "1/2"), (e, "7/10", d))
     result = check_coherence(book)
     assert not result.coherent
-    portfolio = build_dutch_book(book, result.certificate)
-    _verify_sure_loss(book, portfolio)
+    _verify_sure_loss(book, result.portfolio)
 
 
 def test_product_rule_holds_when_prices_agree():
@@ -127,23 +124,6 @@ def test_settle_basics():
         Portfolio(book, (PortfolioLeg(1, "buy", F(1)),))
 
 
-def test_build_dutch_book_on_coherent_book_is_a_logic_error():
-    space = OutcomeSpace(["e", "not_e"])
-    book = _book(space, (["e"], "3/5"))
-    result = check_coherence(book)
-    with pytest.raises(CoherentBookError):
-        build_dutch_book(book, result.certificate)
-
-
-def test_certificate_book_mismatch_is_rejected():
-    space = OutcomeSpace(["e", "not_e"])
-    bad = _book(space, (["e"], "3/5"), (["not_e"], "3/5"))
-    good = _book(space, (["e"], "3/5"))
-    cert = check_coherence(bad).certificate
-    with pytest.raises(ValueError):
-        build_dutch_book(good, cert)
-
-
 def test_empty_book_and_bad_prices_are_rejected():
     space = OutcomeSpace(["e", "not_e"])
     with pytest.raises(ValueError):
@@ -179,8 +159,9 @@ def _random_book(draw, max_atoms=6, max_assessments=5):
 @given(_random_book())
 def test_exactly_one_of_witness_or_sure_loss(book):
     result = check_coherence(book)
+    # Exactly one of the witness and the portfolio is None.
+    assert (result.witness is None) != (result.portfolio is None)
     if result.coherent:
-        assert result.certificate is None
         w = result.witness
         for a in book.assessments:
             event = a.event.members
@@ -190,9 +171,7 @@ def test_exactly_one_of_witness_or_sure_loss(book):
                 cond = a.condition.members
                 assert prob(w, event & cond) == a.price * prob(w, cond)
     else:
-        assert result.witness is None
-        portfolio = build_dutch_book(book, result.certificate)
-        _verify_sure_loss(book, portfolio)
+        _verify_sure_loss(book, result.portfolio)
 
 
 @settings(max_examples=80, deadline=None)

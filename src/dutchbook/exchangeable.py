@@ -5,10 +5,15 @@ enters only through its zero/one counts (exchangeability in operational
 terms), and the probability that the next bit is a zero is Laplace's rule
 of succession (k+1)/(n+2), returned as an exact `Fraction`.
 
+A `BitString` keeps its bits as `bytes`, one byte (0 or 1) per bit, so
+parsing, validating and counting a 16384-bit string are a few C-level
+calls rather than a Python int per bit.
+
 The bits of pi the headline scenario observes are exact: the Chudnovsky
 series is summed by binary splitting in integers, so its big products
-pair operands of similar size, and 64 guard bits below the last bit
-returned absorb every truncation.
+pair operands of similar size.  Its two sums are cut to 32 bits beyond
+the working precision before the one long division, and 64 guard bits
+below the last bit returned absorb that cut and every other truncation.
 """
 
 from __future__ import annotations
@@ -29,30 +34,43 @@ __all__ = [
 #: Bit-extraction cap; the headline scenario needs 4001.
 MAX_PI_BITS = 16384
 
+# The two byte values a bit may take; ASCII "0" and "1" map onto them.
+_BIT_BYTES = b"\x00\x01"
+_DIGIT_BYTES = bytes.maketrans(b"01", _BIT_BYTES)
+# Deletes the digits 0 and 1 from a str, leaving whatever else it holds.
+_DROP_DIGITS = str.maketrans("", "", "01")
+
 
 @dataclass(frozen=True)
 class BitString:
-    """An observed sequence of zeros and ones."""
+    """An observed sequence of zeros and ones.
 
-    bits: tuple[int, ...]
+    `bits` holds one byte per bit, each 0 or 1, so validation and the
+    zero/one counts are single C-level `bytes` calls.  The constructor
+    takes any iterable of 0/1 ints: a tuple, a list or `bytes`.
+    """
+
+    bits: bytes
 
     def __post_init__(self):
-        bits = tuple(self.bits)
-        if not set(bits) <= {0, 1}:
+        if isinstance(self.bits, int):  # bytes(n) would make n zero bytes
+            raise TypeError("bits must be an iterable of 0/1 ints")
+        try:
+            bits = bytes(self.bits)
+        except ValueError:  # an int outside 0..255
+            raise ValueError("bits must be 0 or 1") from None
+        if bits.translate(None, _BIT_BYTES):
             raise ValueError("bits must be 0 or 1")
         object.__setattr__(self, "bits", bits)
 
     @classmethod
     def from_text(cls, text: str) -> BitString:
         """Parse ASCII 0/1 characters, ignoring whitespace."""
-        bits = []
-        for ch in text:
-            if ch.isspace():
-                continue
-            if ch not in "01":
-                raise ValueError(f"unexpected character {ch!r} in bit data")
-            bits.append(int(ch))
-        return cls(tuple(bits))
+        digits = "".join(text.split())
+        junk = digits.translate(_DROP_DIGITS)
+        if junk:
+            raise ValueError(f"unexpected character {junk[0]!r} in bit data")
+        return cls(digits.encode("ascii").translate(_DIGIT_BYTES))
 
     @property
     def n(self) -> int:
@@ -75,9 +93,6 @@ def predictive_next(s: BitString) -> Fraction:
     """
     return Fraction(s.zeros + 1, s.n + 2)
 
-
-# ASCII "0" and "1" to the bytes 0 and 1, which iterate as the ints.
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 # 640320**3 / 24: the cubic denominator of the Chudnovsky term ratio.
 _C3_OVER_24 = 640320 ** 3 // 24
@@ -109,20 +124,33 @@ def pi_fractional_bits(n: int) -> BitString:
     Computed from scratch with integer arithmetic: the Chudnovsky series
     pi = 426880 sqrt(10005) Q / T, with Q and T summed by binary splitting
     (Haible & Papanikolaou 1998) and the square root by `math.isqrt`, at
-    n + 64 bits.  The 64 guard bits absorb the truncation of the series,
-    the root and the final division; the result is floored to n bits.
+    width = n + 64 bits.  Binary splitting leaves Q and T longer than the
+    quotient needs (by about 9600 bits at the cap), so both are shifted
+    right by one shared count that keeps each at least width + 32 bits
+    long.  Each cut is then below 2**-(width + 31) of its operand, and the
+    scaled quotient moves by fewer than 2 units of 2**-width.  With the
+    truncation of the series, the root and the final floor, it stays
+    within 4 units of pi * 2**width, so the 64 guard bits absorb every
+    error unless bits n+1..n+62 of pi are all equal.  No run of 32 equal
+    bits occurs in pi's first MAX_PI_BITS + 64 fractional bits, so every n
+    in range is exact.  The result is floored to n bits and returned as one
+    byte per bit.
     """
     if not 0 <= n <= MAX_PI_BITS:
         raise ValueError(f"bit count must lie in 0..{MAX_PI_BITS}, got {n}")
     if n == 0:
-        return BitString(())
+        return BitString(b"")
     guard = 64
     width = n + guard
     _, q, t = _chudnovsky_split(0, width // _BITS_PER_TERM + 2)
+    cut = min(q.bit_length(), t.bit_length()) - (width + 32)
+    if cut > 0:
+        q >>= cut
+        t >>= cut
     pi_scaled = q * 426880 * math.isqrt(10005 << 2 * width) // t
     frac = (pi_scaled - (3 << width)) >> guard
     digits = format(frac, f"0{n}b").encode("ascii")
-    return BitString(tuple(digits.translate(_DIGIT_BYTES)))
+    return BitString(digits.translate(_DIGIT_BYTES))
 
 
 @dataclass(frozen=True)

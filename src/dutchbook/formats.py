@@ -69,9 +69,16 @@ def _event_from_labels(labels: list, space: OutcomeSpace, field: str) -> Event:
     if not all(isinstance(a, str) for a in labels):
         _fail(field, "expected a list of atom label strings")
     try:
-        return space.event(labels)
+        event = space.event(labels)
     except (KeyError, ValueError) as exc:
         raise AuditFileError(f"{field}: {exc}") from None
+    if len(event.members) != len(labels):  # a label is listed twice
+        seen = set()
+        for label in labels:
+            if label in seen:
+                _fail(field, f"atom label {label!r} listed twice")
+            seen.add(label)
+    return event
 
 
 def _resolve_event(ref: Any, space: OutcomeSpace,

@@ -17,6 +17,7 @@ import pytest
 
 import dutchbook
 from dutchbook.cli import main
+from dutchbook.exchangeable import MAX_PI_BITS, pi_fractional_bits
 from dutchbook.formats import render_structured
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,9 +157,11 @@ def _scenario(rho0, instrument=([_Z0], [_Z1])):
     (["demo-quantum"], _scenario([[True, False]] + _Z0[1:]), "rho0[0]"),
     (["demo-quantum"], _scenario(_Z0, [[_Z0]]), "sum K†K = identity"),
     (["audit"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
+    (["audit"], _BOOK % ('{"e": ["x", "y", "x"]}', '"1/2"'),
+     "events.e: atom label 'x' listed twice"),
 ], ids=["zero-denominator", "huge-exponent", "bool-price", "events-list",
         "zero-denominator-q", "bool-mass", "nan-state", "bool-entry",
-        "not-trace-preserving", "deep-nesting"])
+        "not-trace-preserving", "deep-nesting", "duplicate-label"])
 def test_malformed_documents_exit_one(capsys, tmp_path, argv, text, field):
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -298,6 +301,21 @@ def test_demo_polarization_bits_file(capsys, tmp_path):
                         "--n", "5")
     assert code == 1
     assert "error" in err
+
+
+def test_demo_polarization_bits_file_matches_computed_bits(capsys, tmp_path):
+    # Both paths of the demo give the same report at the cap: the file's
+    # bits, read through whitespace, and the bits computed from scratch.
+    text = "".join(map(str, pi_fractional_bits(MAX_PI_BITS).bits))
+    bits = tmp_path / "pi.txt"
+    bits.write_text("\n".join(text[i:i + 72] for i in range(0, len(text), 72)))
+    for fmt in ("text", "structured"):
+        from_file = _run(capsys, "demo-polarization", "--bits", str(bits),
+                         "--format", fmt)
+        computed = _run(capsys, "demo-polarization", "--n", str(MAX_PI_BITS),
+                        "--format", fmt)
+        assert from_file == computed
+        assert from_file[0] == 0
 
 
 def test_demo_polarization_input_errors(capsys, tmp_path):

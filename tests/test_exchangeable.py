@@ -30,7 +30,7 @@ def _text(s):
 
 def test_bitstring_from_text_ignores_whitespace():
     s = BitString.from_text(" 0 1\n1\t0 ")
-    assert s.bits == (0, 1, 1, 0)
+    assert s.bits == bytes((0, 1, 1, 0))
     assert (s.n, s.zeros, s.ones) == (4, 2, 2)
 
 
@@ -39,6 +39,40 @@ def test_bitstring_rejects_junk():
         BitString.from_text("01x")
     with pytest.raises(ValueError):
         BitString((0, 2))
+
+
+def test_bitstring_stores_one_byte_per_bit():
+    strings = [BitString((0, 1)), BitString([0, 1]), BitString(b"\x00\x01")]
+    assert all(s.bits == b"\x00\x01" for s in strings)
+    assert strings[0] == strings[1] == strings[2]
+    assert len({hash(s) for s in strings}) == 1
+
+
+@pytest.mark.parametrize("bits", [(0, 2), (0, 256), (-1,), b"\x02"])
+def test_bitstring_rejects_values_other_than_zero_and_one(bits):
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        BitString(bits)
+
+
+def test_bitstring_refuses_a_bare_int():
+    # bytes(5) would be five zero bytes.
+    with pytest.raises(TypeError):
+        BitString(5)
+
+
+def test_bitstring_from_text_reads_pi_with_whitespace():
+    text = _text(pi_fractional_bits(MAX_PI_BITS))
+    spaced = "\n".join(" ".join(text[j:j + 8] for j in range(i, i + 64, 8))
+                       for i in range(0, len(text), 64))
+    assert BitString.from_text(spaced + "\n") == pi_fractional_bits(MAX_PI_BITS)
+
+
+def test_bitstring_from_text_names_the_first_junk_character():
+    text = "01" * 5000 + "z" + " 10" * 1000 + "q"
+    assert text.index("z") == 10_000
+    with pytest.raises(ValueError) as err:
+        BitString.from_text(text)
+    assert str(err.value) == "unexpected character 'z' in bit data"
 
 
 # ------------------------------------------------------------ predictive next
@@ -67,7 +101,7 @@ _strings = st.lists(st.integers(min_value=0, max_value=1),
 @settings(max_examples=80, deadline=None)
 @given(_strings)
 def test_predictive_is_ratio_of_marginals(s):
-    ratio = _uniform_marginal(BitString(s.bits + (0,))) / _uniform_marginal(s)
+    ratio = _uniform_marginal(BitString(s.bits + b"\x00")) / _uniform_marginal(s)
     assert predictive_next(s) == ratio
 
 
@@ -97,6 +131,26 @@ def test_pi_bits_match_arbitrary_precision_oracle():
         with mpmath.workprec(n + 80):
             scaled = int(mpmath.floor(mpmath.ldexp(+mpmath.pi - 3, n)))
         assert _text(pi_fractional_bits(n)) == format(scaled, f"0{n}b")
+
+
+def test_pi_bits_are_exact_for_every_n():
+    # Oracle bits to MAX_PI_BITS + 128 at 80 bits of extra precision.  No
+    # run of 32 equal bits in them means that every n <= MAX_PI_BITS has
+    # guard bits n+1..n+62 that are not all equal, which the docstring's
+    # error bound needs, and that the oracle's first MAX_PI_BITS + 64 bits
+    # are right whatever the error in its last bits.
+    total = MAX_PI_BITS + 128
+    with mpmath.workprec(total + 80):
+        scaled = int(mpmath.floor(mpmath.ldexp(+mpmath.pi - 3, total)))
+    oracle = format(scaled, f"0{total}b")
+    assert "0" * 32 not in oracle and "1" * 32 not in oracle
+    # Near the cap, and at and just before each step of the term count
+    # (n + 64) // 47 + 2; just before a step the series is cut shortest.
+    near_cap = range(MAX_PI_BITS - 64, MAX_PI_BITS + 1)
+    steps = {m for k in range(2, MAX_PI_BITS // 47 + 3)
+             for m in (47 * k - 64, 47 * k - 65) if 1 <= m <= MAX_PI_BITS}
+    for n in sorted(steps.union(near_cap)):
+        assert _text(pi_fractional_bits(n)) == oracle[:n], n
 
 
 def _arctan_inv_scaled(x: int, bits: int) -> int:

@@ -151,6 +151,21 @@ def test_event_as_label_list_and_bad_label():
         parse_audit_document(data)
 
 
+@pytest.mark.parametrize("overrides, field, label", [
+    ({"events": {"E": ["x", "y", "x"]}}, r"document\.events\.E", "x"),
+    ({"events": {}, "assessments": [
+        {"type": "unconditional", "event": ["y", "y"], "price": "1/2"}]},
+     r"document\.assessments\[0\]\.event", "y"),
+    ({"assessments": [{"type": "called_off", "event": "E",
+                       "condition": ["x", "y", "y"], "price": "1/2"}]},
+     r"document\.assessments\[0\]\.condition", "y"),
+], ids=["named-event", "assessment-event", "condition"])
+def test_label_listed_twice_in_an_event_refused(overrides, field, label):
+    with pytest.raises(AuditFileError,
+                       match=rf"^{field}: atom label '{label}' listed twice$"):
+        parse_audit_document(_minimal_book(**overrides))
+
+
 def test_bad_named_event_definition():
     data = _minimal_book(events={"E": "x"})
     with pytest.raises(AuditFileError, match=r"document\.events\.E"):

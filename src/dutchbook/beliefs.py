@@ -4,9 +4,10 @@ Everything here is exact: probabilities and payoffs are `fractions.Fraction`
 values, so audit verdicts built on top of this module are tolerance-free.
 All types are immutable after construction and safe to share across threads.
 
-A `BeliefState` is validated in Python ints: its pmf is scaled once to
-integer numerators over one common denominator, the lcm of the masses'
-denominators, which the temporal audits sum without adding `Fraction`s.
+One check validates every exact pmf, a `BeliefState`'s and a temporal
+model's joint alike: it scales the masses to integer numerators over the
+lcm of their denominators, and refuses a negative numerator or a sum other
+than that lcm.
 """
 
 from __future__ import annotations
@@ -73,6 +74,19 @@ def _scaled(entries) -> tuple[int, list[int]]:
     return s, [v.numerator * (s // v.denominator) for v in entries]
 
 
+def _scaled_pmf(pmf) -> tuple[int, list[int]]:
+    """`_scaled` of an exact pmf, refusing negative masses and a sum other
+    than exactly 1."""
+    denom, numerators = _scaled(pmf)
+    if any(n < 0 for n in numerators):
+        raise ValueError("pmf masses must be nonnegative")
+    total = sum(numerators)
+    if total != denom:
+        raise ValueError(
+            f"pmf masses must sum to exactly 1, got {Fraction(total, denom)}")
+    return denom, numerators
+
+
 @dataclass(frozen=True)
 class OutcomeSpace:
     """An ordered finite set of mutually exclusive, exhaustive atoms."""
@@ -117,9 +131,10 @@ class Event:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        if not all(0 <= i < self.space.size for i in self.members):
+        members = frozenset(self.members)
+        if members and (min(members) < 0 or max(members) >= self.space.size):
             raise ValueError("event members out of range for its space")
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, atom: int) -> bool:
         return atom in self.members
@@ -139,18 +154,5 @@ class BeliefState:
         pmf = tuple(as_fraction(p) for p in self.pmf)
         if len(pmf) != self.space.size:
             raise ValueError("pmf must assign mass to every atom")
-        denom, numerators = _scaled(pmf)
-        if any(n < 0 for n in numerators):
-            raise ValueError("pmf masses must be nonnegative")
-        total = sum(numerators)
-        if total != denom:
-            raise ValueError(
-                f"pmf masses must sum to exactly 1, got {Fraction(total, denom)}")
+        _scaled_pmf(pmf)
         object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "_scaled_pmf", (denom, tuple(numerators)))
-
-    @property
-    def scaled_pmf(self) -> tuple[int, tuple[int, ...]]:
-        """``(L, numerators)``: L is the lcm of the masses' denominators, and
-        mass i is ``numerators[i] / L``."""
-        return self._scaled_pmf

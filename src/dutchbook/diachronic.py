@@ -17,11 +17,12 @@ revealed at t=tau.  The tools here:
 Money at the two times trades at par: a zero interest rate is hard-coded.
 Negative realized amounts are agent losses.
 
-A model sums its joint once, in ints: it reads the integer numerators its
-`BeliefState` validated over their common denominator, and stores every
-value cell's mass, E-mass, D-mass and (E and D)-mass.  The audits read
-those sums; each conditional they report is one `Fraction` of two stored
-integers, so an audit adds no fractions.
+Both constraints are statements about value-cell sums, so a model stores
+nothing else.  It validates its joint in ints, by the exact-pmf check
+`beliefs.BeliefState` uses, and keeps every value cell's mass, E-mass,
+D-mass and (E and D)-mass as numerators over the masses' common
+denominator.  The audits read those sums; each conditional they report is
+one `Fraction` of two stored integers, so an audit adds no fractions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .beliefs import BeliefState, OutcomeSpace, Rational, as_fraction
+from .beliefs import MAX_ATOMS, OutcomeSpace, Rational, _scaled_pmf, as_fraction
 from .synchronic import Assessment, Portfolio, PortfolioLeg, PriceBook
 
 __all__ = [
@@ -82,29 +83,24 @@ class TemporalModel:
 
         # Each value cell's atoms are contiguous, one per (e, d) branch in
         # this order.
-        branches = [
-            (e, d, ("E" if e else "~E") + ("" if d is None else ",D" if d else ",~D"))
-            for e in (True, False)
-            for d in ((True, False) if self.has_base else (None,))
-        ]
-        labels = []
+        branches = [(e, d) for e in (True, False)
+                    for d in ((True, False) if self.has_base else (None,))]
+        size = len(self.qs) * len(branches)
+        if not 1 <= size <= MAX_ATOMS:
+            raise ValueError(f"outcome space must have 1..{MAX_ATOMS} atoms, got {size}")
         index = {}
-        for i, q in enumerate(self.qs):
-            prefix = f"q={q},"
-            for e, d, branch in branches:
-                index[(i, e) if d is None else (i, e, d)] = len(labels)
-                labels.append(prefix + branch)
-        space = OutcomeSpace(labels)
-        pmf = [_ZERO] * len(labels)
+        for i in range(len(self.qs)):
+            for e, d in branches:
+                index[(i, e) if d is None else (i, e, d)] = len(index)
+        pmf = [_ZERO] * size
         for key, mass in joint.items():
             if key not in index:
                 raise ValueError(f"joint key {key!r} does not match the model shape")
             pmf[index[key]] = as_fraction(mass)
-        self.joint = BeliefState(space, tuple(pmf))
 
         # Per value cell: its mass and the masses of E, D and (E and D)
         # within it, as numerators over the joint's common denominator.
-        self._scale, numerators = self.joint.scaled_pmf
+        self._scale, numerators = _scaled_pmf(pmf)
         mass, e_mass, d_mass, ed_mass = [], [], [], []
         # zip over one iterator repeated yields each cell's atoms in turn.
         cell_atoms = [iter(numerators)] * len(branches)
@@ -222,10 +218,6 @@ class ConditioningResult:
     forced_q: Fraction
     declared_q: Fraction
     portfolio: Portfolio | None
-
-    @property
-    def coherent(self) -> bool:
-        return self.portfolio is None
 
 
 def conditioning_strategy_check(

@@ -46,7 +46,7 @@ class BitString:
     """An observed sequence of zeros and ones.
 
     `bits` holds one byte per bit, each 0 or 1, so validation and the
-    zero/one counts are single C-level `bytes` calls.  The constructor
+    zero count are single C-level `bytes` calls.  The constructor
     takes any iterable of 0/1 ints: a tuple, a list or `bytes`.
     """
 
@@ -79,10 +79,6 @@ class BitString:
     @property
     def zeros(self) -> int:
         return self.bits.count(0)
-
-    @property
-    def ones(self) -> int:
-        return self.bits.count(1)
 
 
 def predictive_next(s: BitString) -> Fraction:
@@ -185,10 +181,11 @@ def scenario_report(
     if not math.isfinite(maverick_q):
         raise ValueError(f"maverick value must be finite, got {maverick_q}")
     cond = predictive_next(observed)
+    zeros = observed.zeros
     return ScenarioReport(
         n=n,
-        zeros=observed.zeros,
-        ones=observed.ones,
+        zeros=zeros,
+        ones=n - zeros,
         conditioning_next_zero=float(cond),
         maverick_q=maverick_q,
         conditioning_coherent=0 <= cond <= 1,

@@ -1,11 +1,15 @@
-"""Exact probabilities of atom-index sets, summed from a belief state's pmf.
+"""Exact probabilities of atom-index sets, summed from a belief state's pmf,
+and labelled temporal joints to sum them over.
 
-The library reports no event probabilities: its audits read the scaled
-integer pmf.  The tests check witnesses, joints and reference audits
-against these plain `Fraction` sums.
+The library reports no event probabilities: its audits read integer sums.
+The tests check witnesses, joints and reference audits against these plain
+`Fraction` sums.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+
+from dutchbook.beliefs import BeliefState, OutcomeSpace, as_fraction
 
 
 def prob(state, atoms) -> Fraction:
@@ -16,3 +20,52 @@ def prob(state, atoms) -> Fraction:
 def cond_prob(state, e, d) -> Fraction:
     """prob(e and d) / prob(d) for atom-index sets; d needs positive mass."""
     return prob(state, set(e) & set(d)) / prob(state, d)
+
+
+@dataclass(frozen=True)
+class LabelledJoint:
+    """A temporal joint as a `BeliefState` over atoms labelled
+    "q=<value>,<E or ~E>[,<D or ~D>]", and the atom-index sets of each
+    value cell, of E and of D (None when the joint has no d column)."""
+
+    qs: tuple[Fraction, ...]
+    state: BeliefState
+    cells: tuple[frozenset[int], ...]
+    e: frozenset[int]
+    d: frozenset[int] | None
+
+
+def labelled_joint(qs, joint) -> LabelledJoint:
+    """The labelled joint of `TemporalModel(qs, joint)`, built from those
+    inputs alone: keys are (i, e) or (i, e, d), and absent keys get no mass."""
+    qs = tuple(as_fraction(q) for q in qs)
+    base = len(next(iter(joint))) == 3
+    labels, pmf, cells, e_atoms, d_atoms = [], [], [], set(), set()
+    for i, q in enumerate(qs):
+        cell = set()
+        for e in (True, False):
+            for d in ((True, False) if base else (None,)):
+                atom = len(labels)
+                cell.add(atom)
+                if e:
+                    e_atoms.add(atom)
+                if d:
+                    d_atoms.add(atom)
+                labels.append(f"q={q}," + ("E" if e else "~E")
+                              + ("" if d is None else ",D" if d else ",~D"))
+                pmf.append(joint.get((i, e) if d is None else (i, e, d), 0))
+        cells.append(frozenset(cell))
+    return LabelledJoint(qs, BeliefState(OutcomeSpace(labels), tuple(pmf)),
+                         tuple(cells), frozenset(e_atoms),
+                         frozenset(d_atoms) if base else None)
+
+
+def labelled_conditionals(qs, masses, e_given_q) -> LabelledJoint:
+    """The labelled joint of `TemporalModel.from_conditionals` on these
+    arguments: cell i splits its mass as mass * P(E | cell) on E."""
+    joint = {}
+    for i, (m, c) in enumerate(zip(masses, e_given_q)):
+        m, c = as_fraction(m), as_fraction(c)
+        joint[(i, True)] = m * c
+        joint[(i, False)] = m * (1 - c)
+    return labelled_joint(qs, joint)

@@ -34,7 +34,7 @@ from dutchbook.synchronic import (
     check_coherence,
     settle,
 )
-from belief_fixtures import cond_prob, prob
+from belief_fixtures import cond_prob, labelled_conditionals, prob
 from quantum_fixtures import (
     lueders_instrument,
     pure_state,
@@ -122,9 +122,8 @@ def test_criterion_03(capsys, seed):
                 qs=qs, masses=masses, e_given_q=qs)
             averaged = sum(model.value_mass(i) * q
                            for i, q in enumerate(model.qs))
-            e = [i for i, label in enumerate(model.joint.space.atoms)
-                 if label.endswith(",E")]  # "q=<value>,E"
-            assert averaged == prob(model.joint, e)
+            ref = labelled_conditionals(qs=qs, masses=masses, e_given_q=qs)
+            assert averaged == prob(ref.state, ref.e)
         assert time.perf_counter() - start < 5.0
 
 

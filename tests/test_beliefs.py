@@ -14,6 +14,7 @@ from dutchbook.beliefs import (
     BeliefState,
     Event,
     OutcomeSpace,
+    _scaled_pmf,
     as_fraction,
 )
 from belief_fixtures import cond_prob, prob
@@ -70,6 +71,12 @@ def test_event_algebra_and_labels():
         space.event(["nope"])
     with pytest.raises(ValueError):
         Event(space, frozenset({9}))
+    assert Event(space, frozenset()).members == frozenset()
+    assert Event(space, frozenset({0, 3})).members == {0, 3}
+    for members in ({-1}, {4}, {0, 4}, {-1, 2}):
+        with pytest.raises(ValueError,
+                           match="^event members out of range for its space$"):
+            Event(space, frozenset(members))
 
 
 def test_prob_examples():
@@ -183,6 +190,6 @@ def test_belief_state_matches_fraction_sum_reference(pmf):
         return
     b = BeliefState(space, tuple(str(p) for p in pmf))
     assert b.pmf == tuple(pmf)
-    scale, numerators = b.scaled_pmf
+    scale, numerators = _scaled_pmf(b.pmf)
     assert scale == math.lcm(*(p.denominator for p in pmf))
-    assert numerators == tuple(p * scale for p in pmf)
+    assert numerators == [p * scale for p in pmf]

@@ -159,9 +159,17 @@ def _scenario(rho0, instrument=([_Z0], [_Z1])):
     (["audit"], "[" * 100_000 + "]" * 100_000, "not valid JSON"),
     (["audit"], _BOOK % ('{"e": ["x", "y", "x"]}', '"1/2"'),
      "events.e: atom label 'x' listed twice"),
+    (["audit", "--temporal"], _TEMPORAL % ('"1/2"', '"1/3"'),
+     "document.temporal.joint: pmf masses must sum to exactly 1, got 1/3"),
+    (["audit", "--temporal"], json.dumps({"temporal": {
+        "qs": [f"{i}/16385" for i in range(16385)],
+        "joint": [{"q": "0/16385", "e": True, "d": True, "mass": "1"}]}}),
+     "document.temporal.joint: outcome space must have 1..65536 atoms, "
+     "got 65540"),
 ], ids=["zero-denominator", "huge-exponent", "bool-price", "events-list",
         "zero-denominator-q", "bool-mass", "nan-state", "bool-entry",
-        "not-trace-preserving", "deep-nesting", "duplicate-label"])
+        "not-trace-preserving", "deep-nesting", "duplicate-label",
+        "temporal-bad-sum", "temporal-over-cap"])
 def test_malformed_documents_exit_one(capsys, tmp_path, argv, text, field):
     path = tmp_path / "doc.json"
     path.write_text(text)

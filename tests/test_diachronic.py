@@ -20,33 +20,30 @@ from dutchbook.diachronic import (
     reflection_check,
 )
 from dutchbook.synchronic import Portfolio, PortfolioLeg, settle
-from belief_fixtures import cond_prob, prob
+from belief_fixtures import (
+    cond_prob,
+    labelled_conditionals,
+    labelled_joint,
+    prob,
+)
 
 WORKED = dict(qs=(F(1, 2), F(1, 4)), masses=(F(2, 5), F(3, 5)),
               e_given_q=(F(7, 10), F(1, 4)))
 
 
-def _atom_sets(m):
-    """Atom-index sets of each value cell, of E and of D, read off the
-    joint's atom labels "q=<value>,<E or ~E>[,<D or ~D>]"."""
-    cell_of = {q: i for i, q in enumerate(m.qs)}
-    cells = [set() for _ in m.qs]
-    e, d = set(), set()
-    for atom, label in enumerate(m.joint.space.atoms):
-        value, *branch = label.split(",")
-        cells[cell_of[F(value.removeprefix("q="))]].add(atom)
-        if branch[0] == "E":
-            e.add(atom)
-        if branch[1:] == ["D"]:
-            d.add(atom)
-    return cells, e, d
+def _from_conditionals(**kwargs):
+    """The model and its labelled reference joint, built from the same
+    `from_conditionals` arguments."""
+    return (TemporalModel.from_conditionals(**kwargs),
+            labelled_conditionals(**kwargs))
 
 
-def _goldstein_sides(m):
+def _goldstein_sides(m, ref):
     """Goldstein's identity as two sides: the t=0 average of the announced
-    values, sum of mass * q over the value cells, and P0(E)."""
+    values, sum of mass * q over the model's value cells, and P0(E) summed
+    over the reference joint."""
     averaged = sum((m.value_mass(i) * q for i, q in enumerate(m.qs)), F(0))
-    return averaged, prob(m.joint, _atom_sets(m)[1])
+    return averaged, prob(ref.state, ref.e)
 
 
 def _all_branches(portfolio):
@@ -57,11 +54,11 @@ def _all_branches(portfolio):
 
 
 def test_reflection_by_construction_has_no_violations():
-    m = TemporalModel.from_conditionals(
+    m, ref = _from_conditionals(
         qs=(F(1, 5), F(4, 5)), masses=(F(1, 4), F(3, 4)),
         e_given_q=(F(1, 5), F(4, 5)))
     assert reflection_check(m).violations == []
-    assert _goldstein_sides(m) == (F(13, 20), F(13, 20))
+    assert _goldstein_sides(m, ref) == (F(13, 20), F(13, 20))
 
 
 def test_worked_example_violation():
@@ -80,23 +77,24 @@ def test_zero_mass_values_are_skipped():
 
 
 def test_goldstein_point_mass_and_indicator():
-    point = TemporalModel.from_conditionals(
+    point = _from_conditionals(
         qs=(F(1, 2),), masses=(F(1),), e_given_q=(F(1, 2),))
-    assert _goldstein_sides(point) == (F(1, 2), F(1, 2))
+    assert _goldstein_sides(*point) == (F(1, 2), F(1, 2))
 
     for p in (F(0), F(1, 3), F(1)):
-        m = TemporalModel((F(0), F(1)),
-                          {(0, True): F(0), (0, False): p,
-                           (1, True): 1 - p, (1, False): F(0)})
-        assert _goldstein_sides(m) == (1 - p, 1 - p)
+        qs = (F(0), F(1))
+        joint = {(0, True): F(0), (0, False): p,
+                 (1, True): 1 - p, (1, False): F(0)}
+        m = TemporalModel(qs, joint)
+        assert _goldstein_sides(m, labelled_joint(qs, joint)) == (1 - p, 1 - p)
 
 
 def test_goldstein_requires_reflection():
     # The worked violation: averaged values 2/5*1/2 + 3/5*1/4 = 7/20, while
     # P0(E) = 2/5*7/10 + 3/5*1/4 = 43/100.
-    m = TemporalModel.from_conditionals(**WORKED)
+    m, ref = _from_conditionals(**WORKED)
     assert reflection_check(m).violations
-    assert _goldstein_sides(m) == (F(7, 20), F(43, 100))
+    assert _goldstein_sides(m, ref) == (F(7, 20), F(43, 100))
 
 
 def test_worked_example_book_loses_exact_amounts():
@@ -135,11 +133,11 @@ def test_mirrored_gap_loses_the_same_amounts():
 def test_two_violations_book_against_the_first():
     # The first cell meets its value; the next two miss theirs, and the book
     # is priced at the first violation's conditional and cell mass.
-    m = TemporalModel.from_conditionals(
+    m, ref = _from_conditionals(
         qs=(F(1, 4), F(1, 2), F(1, 5)), masses=(F(1, 2), F(3, 10), F(1, 5)),
         e_given_q=(F(1, 4), F(7, 10), F(1, 10)))
     result = reflection_check(m)
-    assert result == _reference_reflection_check(m)
+    assert result == _reference_reflection_check(ref)
     assert [v.q for v in result.violations] == [F(1, 2), F(1, 5)]
     assert [a.price for a in result.portfolio.book.assessments] == [
         F(7, 10), F(3, 10), F(1, 2)]
@@ -182,6 +180,33 @@ def test_temporal_model_validation():
         TemporalModel((F(1, 2),), {(0, True): F(1, 3)})
 
 
+_CAP_QS = [F(i, 16385) for i in range(16385)]
+
+
+@pytest.mark.parametrize("qs, joint, message", [
+    ((F(1, 2),), {(0, True): F(-1, 2), (0, False): F(3, 2)},
+     "pmf masses must be nonnegative"),
+    ((F(1, 2),), {(0, True): F(1, 2), (0, False): F(1, 3)},
+     "pmf masses must sum to exactly 1, got 5/6"),
+    ((F(1, 2),), {(0, True): F(1, 2), (4, True): F(1, 2)},
+     "joint key (4, True) does not match the model shape"),
+    ((F(1, 2),), {(0, True): F(1, 2), (0, False, True): F(1, 2)},
+     "joint keys must be uniformly (i, e) or (i, e, d)"),
+    (_CAP_QS, {(0, True, True): F(1)},
+     "outcome space must have 1..65536 atoms, got 65540"),
+], ids=["negative-mass", "sum-5/6", "unknown-key", "mixed-keys", "over-cap"])
+def test_temporal_model_refusal_text(qs, joint, message):
+    with pytest.raises(ValueError) as info:
+        TemporalModel(qs, joint)
+    assert str(info.value) == message
+
+
+def test_temporal_model_accepts_the_cell_cap():
+    # 16384 values with a base event make exactly MAX_ATOMS cells.
+    m = TemporalModel(_CAP_QS[:-1], {(0, True, True): F(1)})
+    assert m.has_base and m.value_mass(0) == 1
+
+
 CONDITIONING = {
     (0, True, True): F(3, 10), (0, False, True): F(1, 10),
     (1, True, False): F(1, 5), (1, False, False): F(2, 5),
@@ -191,7 +216,7 @@ CONDITIONING = {
 def test_conditioning_mismatch_yields_exact_losses():
     m = TemporalModel((F(1, 2), F(1, 3)), CONDITIONING)
     outcome = conditioning_strategy_check(m, declared_q=F(1, 2))
-    assert not outcome.coherent
+    assert outcome.portfolio is not None
     assert outcome.forced_q == F(3, 4)
     assert outcome.declared_q == F(1, 2)
     branches = _all_branches(outcome.portfolio)
@@ -210,7 +235,7 @@ def test_conditioning_consistent_strategy_is_confirmed():
     }
     m = TemporalModel((F(3, 4), F(1, 3)), joint)
     outcome = conditioning_strategy_check(m)
-    assert outcome.coherent
+    assert outcome.portfolio is None
     assert outcome.forced_q == outcome.declared_q == F(3, 4)
 
 
@@ -244,12 +269,13 @@ def test_bijection_case_reflection_and_conditioning_agree():
         (0, True, True): F(3, 10), (0, False, True): F(1, 10),
         (1, True, False): F(1, 5), (1, False, False): F(2, 5),
     }
-    m = TemporalModel((F(3, 4), F(1, 3)), joint)
+    qs = (F(3, 4), F(1, 3))
+    m = TemporalModel(qs, joint)
     assert reflection_check(m).violations == []
     outcome = conditioning_strategy_check(m)
-    assert outcome.coherent
-    _, e, d = _atom_sets(m)
-    assert outcome.forced_q == cond_prob(m.joint, e, d)
+    assert outcome.portfolio is None
+    ref = labelled_joint(qs, joint)
+    assert outcome.forced_q == cond_prob(ref.state, ref.e, ref.d)
 
 
 _q = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -287,29 +313,29 @@ def test_reflection_models_satisfy_goldstein(cells):
         return
     qs = [q for q, _ in cells]
     masses = [F(w, total) for _, w in cells]
-    m = TemporalModel.from_conditionals(qs=qs, masses=masses, e_given_q=qs)
+    m, ref = _from_conditionals(qs=qs, masses=masses, e_given_q=qs)
     assert reflection_check(m).violations == []
     expected = sum(mass * q for q, mass in zip(qs, masses))
-    assert _goldstein_sides(m) == (expected, expected)
+    assert _goldstein_sides(m, ref) == (expected, expected)
 
 
 # ------------------------------------------------ reference (quadratic) audits
 #
 # The two audits below are the earlier cell-by-cell versions, kept as
 # references: each cell's mass and conditional come from a fresh Fraction sum
-# over the joint's pmf, on atom sets read off its labels.  The library
-# versions read every cell from one pass and must agree with them exactly.
+# over a labelled joint built from the model's inputs (`labelled_joint`).
+# The library versions read every cell from the model's integer sums and
+# must agree with them exactly.
 
 
-def _reference_reflection_check(m):
+def _reference_reflection_check(ref):
     violations = []
     book = None
-    cells, e, _ = _atom_sets(m)
-    for q, cell in zip(m.qs, cells):
-        mass = prob(m.joint, cell)
+    for q, cell in zip(ref.qs, ref.cells):
+        mass = prob(ref.state, cell)
         if mass == 0:
             continue
-        cond = cond_prob(m.joint, e, cell)
+        cond = cond_prob(ref.state, ref.e, cell)
         if cond != q:
             violations.append(Violation(q, cond, cond - q))
             if book is None:
@@ -317,27 +343,26 @@ def _reference_reflection_check(m):
     return ReflectionResult(violations, book)
 
 
-def _reference_conditioning_strategy_check(m, declared_q=None):
-    if not m.has_base:
+def _reference_conditioning_strategy_check(ref, declared_q=None):
+    if ref.d is None:
         raise StrategyNotAdoptedError("model carries no base event to learn")
-    cells, e, d = _atom_sets(m)
-    d_mass = prob(m.joint, d)
+    d_mass = prob(ref.state, ref.d)
     if d_mass == 0:
         raise StrategyNotAdoptedError("base event has probability zero")
     certain = [
-        i for i, cell in enumerate(cells)
-        if cond_prob(m.joint, cell, d) == 1
+        i for i, cell in enumerate(ref.cells)
+        if cond_prob(ref.state, cell, ref.d) == 1
     ]
     if len(certain) != 1:
         raise StrategyNotAdoptedError(
             "joint does not make any single future value certain given the base event"
         )
-    adopted = m.qs[certain[0]]
+    adopted = ref.qs[certain[0]]
     if declared_q is not None and as_fraction(declared_q) != adopted:
         raise StrategyNotAdoptedError(
             f"declared value {declared_q} differs from the encoded value {adopted}"
         )
-    forced = cond_prob(m.joint, e, d)
+    forced = cond_prob(ref.state, ref.e, ref.d)
     if forced == adopted:
         return ConditioningResult(forced, adopted, None)
     book = _three_leg_book(d_mass, forced, adopted, "D")
@@ -351,11 +376,11 @@ def _outcome(check, *args):
         return ("refused", str(exc))
 
 
-def _assert_audits_match_reference(m, declared):
-    assert reflection_check(m) == _reference_reflection_check(m)
+def _assert_audits_match_reference(m, ref, declared):
+    assert reflection_check(m) == _reference_reflection_check(ref)
     for q in (None, declared):
         got = _outcome(conditioning_strategy_check, m, q)
-        want = _outcome(_reference_conditioning_strategy_check, m, q)
+        want = _outcome(_reference_conditioning_strategy_check, ref, q)
         if isinstance(want, tuple):
             assert got == want
             continue
@@ -366,7 +391,7 @@ def _assert_audits_match_reference(m, declared):
             assert got.portfolio.legs == want.portfolio.legs
 
 
-def _model(qs, weights, base, star):
+def _joint(qs, weights, base, star):
     """A joint over the (cell, e[, d]) keys from integer weights; with a
     `star` cell, every other cell gets no mass on D (a strategy shape)."""
     keys = [(i, e) + ((d,) if base else ())
@@ -377,7 +402,13 @@ def _model(qs, weights, base, star):
     total = sum(weights)
     if total == 0:
         weights[0], total = 1, 1
-    return TemporalModel(qs, {key: F(w, total) for key, w in zip(keys, weights)})
+    return {key: F(w, total) for key, w in zip(keys, weights)}
+
+
+def _model(qs, weights, base, star):
+    """`_joint`'s model and its labelled reference joint."""
+    joint = _joint(qs, weights, base, star)
+    return TemporalModel(qs, joint), labelled_joint(qs, joint)
 
 
 @st.composite
@@ -395,8 +426,8 @@ def _temporal_models(draw):
 @settings(max_examples=200, deadline=None)
 @given(_temporal_models())
 def test_audits_match_reference_on_small_models(drawn):
-    m, declared = drawn
-    _assert_audits_match_reference(m, declared)
+    (m, ref), declared = drawn
+    _assert_audits_match_reference(m, ref, declared)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 32, 64, 256])
@@ -405,10 +436,10 @@ def test_audits_match_reference_on_seeded_models(k, seed):
     # Reflection holds by construction, some cells empty.
     qs = [F(v, 8 * k) for v in rnd.sample(range(8 * k + 1), k)]
     weights = [max(0, rnd.randint(-2, 8)) for _ in range(k - 1)] + [1]
-    m = TemporalModel.from_conditionals(
-        qs, [F(w, sum(weights)) for w in weights], qs)
+    m, ref = _from_conditionals(
+        qs=qs, masses=[F(w, sum(weights)) for w in weights], e_given_q=qs)
     assert reflection_check(m).violations == []
-    _assert_audits_match_reference(m, qs[0])
+    _assert_audits_match_reference(m, ref, qs[0])
     for base in (False, True):
         for star in ((None, rnd.randrange(k)) if base else (None,)):
             denom = 8 * k
@@ -416,17 +447,17 @@ def test_audits_match_reference_on_seeded_models(k, seed):
             size = k * (4 if base else 2)
             # About a third of the weights are zero, so some cells are empty.
             weights = [max(0, rnd.randint(-4, 8)) for _ in range(size)]
-            m = _model(qs, weights, base, star)
+            m, ref = _model(qs, weights, base, star)
             declared = qs[star] if star is not None else rnd.choice(qs)
-            _assert_audits_match_reference(m, declared)
+            _assert_audits_match_reference(m, ref, declared)
             outcome = _outcome(conditioning_strategy_check, m)
             if star is not None and not isinstance(outcome, tuple) \
                     and outcome.forced_q not in qs:
                 # Coherent twin: the starred value set to P0(E | D).
                 qs[star] = outcome.forced_q
-                twin = _model(qs, weights, base, star)
-                assert conditioning_strategy_check(twin).coherent
-                _assert_audits_match_reference(twin, outcome.forced_q)
+                twin, twin_ref = _model(qs, weights, base, star)
+                assert conditioning_strategy_check(twin).portfolio is None
+                _assert_audits_match_reference(twin, twin_ref, outcome.forced_q)
 
 
 def test_model_and_audits_add_no_fractions(monkeypatch):
@@ -443,9 +474,9 @@ def test_model_and_audits_add_no_fractions(monkeypatch):
             adds.append(name)
             return original(a, b)
         monkeypatch.setattr(F, name, counting)
-    m = _model(qs, weights, True, star)
+    m = TemporalModel(qs, _joint(qs, weights, True, star))
     reflection = reflection_check(m)
     outcome = conditioning_strategy_check(m, qs[star])
     monkeypatch.undo()
-    assert reflection.portfolio is not None and not outcome.coherent
+    assert reflection.portfolio is not None and outcome.portfolio is not None
     assert adds == []

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dutchbook import formats
+from dutchbook.diachronic import TemporalModel
 from dutchbook.formats import (
     AuditDocument,
     AuditFileError,
@@ -19,6 +21,7 @@ from dutchbook.formats import (
     parse_quantum_scenario,
     render_structured,
 )
+from belief_fixtures import labelled_joint
 from quantum_fixtures import random_density
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -211,16 +214,33 @@ def test_temporal_rows_validated():
         parse_audit_document({"temporal": bad})
 
 
-def test_temporal_row_values_match_qs_by_value():
+def _parsed_temporal_joint(monkeypatch, data):
+    """Parse `data`, and return the labelled joint of the (qs, joint) the
+    parser handed to `TemporalModel`."""
+    inputs = []
+
+    class Recording(TemporalModel):
+        def __init__(self, qs, joint):
+            inputs.append((qs, dict(joint)))
+            super().__init__(qs, joint)
+
+    monkeypatch.setattr(formats, "TemporalModel", Recording)
+    parse_audit_document(data)
+    (qs, joint), = inputs
+    return labelled_joint(qs, joint)
+
+
+def test_temporal_row_values_match_qs_by_value(monkeypatch):
     rows = [{"q": "0.5", "e": True, "mass": "1/4"},
             {"q": "2/4", "e": False, "mass": "1/4"},
             {"q": "0.25", "e": True, "mass": "1/8"},
             {"q": "1/4", "e": False, "mass": "3/8"}]
-    m = parse_audit_document({"temporal": {"qs": ["1/2", "1/4"],
-                                           "joint": rows}}).temporal
+    data = {"temporal": {"qs": ["1/2", "1/4"], "joint": rows}}
+    m = parse_audit_document(data).temporal
     assert m.qs == (F(1, 2), F(1, 4))
     assert (m.value_mass(0), m.value_mass(1)) == (F(1, 2), F(1, 2))
-    assert m.joint.pmf == (F(1, 4), F(1, 4), F(1, 8), F(3, 8))
+    ref = _parsed_temporal_joint(monkeypatch, data)
+    assert ref.state.pmf == (F(1, 4), F(1, 4), F(1, 8), F(3, 8))
 
     same_cell = [{"q": "1/2", "e": True, "mass": "1/2"},
                  {"q": "0.5", "e": True, "mass": "1/2"}]
@@ -236,14 +256,15 @@ def test_temporal_row_values_match_qs_by_value():
     (["1/2"], "1/" + "2" * 1000, "exact string longer than 1000 characters"),
     (["1/2"], "1e-5000", "decimal exponent"),
 ])
-def test_temporal_row_q_in_any_spelling_is_checked(qs, q, error):
+def test_temporal_row_q_in_any_spelling_is_checked(monkeypatch, qs, q, error):
     # Rows repeating a qs string are matched by the string; every other
     # spelling is parsed and checked as the qs themselves are.
     rows = [{"q": q, "e": True, "mass": "1/2"},
             {"q": qs[0], "e": False, "mass": "1/2"}]
     data = {"temporal": {"qs": qs, "joint": rows}}
     if error is None:
-        assert parse_audit_document(data).temporal.joint.pmf == (F(1, 2),) * 2
+        ref = _parsed_temporal_joint(monkeypatch, data)
+        assert ref.state.pmf == (F(1, 2),) * 2
         return
     with pytest.raises(AuditFileError) as exc:
         parse_audit_document(data)

@@ -13,9 +13,9 @@ The public names are the ones the `dutchbook` command and its benchmark
 use.  A witness or a joint is read as its pmf over the atoms; event
 probabilities and Boolean event algebra are left to callers.
 
-Only the quantum module needs numpy.  Its names are resolved on first
-access (PEP 562), so `import dutchbook` and the exact-arithmetic audits
-never load numpy.
+The package needs only the standard library.  The quantum module's names
+are resolved on first access (PEP 562), so `import dutchbook` and the
+exact-arithmetic audits never pay to compile and load it.
 """
 
 from .beliefs import BeliefState, Event, OutcomeSpace, as_fraction

@@ -3,8 +3,9 @@
 Subcommands: `audit` (synchronic or temporal coherence audit of a file),
 `demo-reflection` (the worked three-transaction sure loss), `demo-polarization`
 (the bit-sequence betting comparison), `demo-quantum` (two-time measurement
-scenario from a file).  Only `demo-quantum` needs numpy: its handler imports
-the quantum module on demand, so the other subcommands never load numpy.
+scenario from a file).  Only `demo-quantum` uses the quantum module, and its
+handler imports it on demand: compiling and loading it would cost every
+other subcommand a few milliseconds of start-up.
 
 Exit codes are the only verdict channel: 0 for coherent/successful runs,
 2 for detected incoherence, 1 for input errors.  Each handler returns its

@@ -6,7 +6,8 @@ price}; rationals are written exactly as "p/q" or decimal strings.  A
 `temporal` block extends the same file with candidate future values, a
 joint pmf over (q, E[, D]) cells, and an optional declared strategy.
 A quantum scenario file carries a dimension, a state, an instrument, and
-a POVM, with every matrix encoded as a row-major list of [re, im] pairs.
+a POVM, with every matrix encoded as a row-major list of [re, im] pairs
+and read into rows of Python `complex`.
 
 Reports are plain dicts rendered canonically (sorted keys, two-space
 indent, trailing newline), so parsing an emitted report and re-rendering
@@ -18,16 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .beliefs import Event, OutcomeSpace, as_fraction
 from .diachronic import TemporalModel
 from .synchronic import Assessment, PriceBook
-
-if TYPE_CHECKING:  # numpy and the quantum module load only on the quantum path
-    import numpy as np
-
-    from .quantum import DensityOperator, Instrument, Povm
 
 __all__ = [
     "AuditFileError",
@@ -236,38 +232,40 @@ def load_audit_file(path: str) -> AuditDocument:
     return parse_audit_document(_load_json(path))
 
 
-def matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
-    """Row-major [re, im] pairs for one square complex matrix."""
-    import numpy as np
+def matrix_to_pairs(matrix) -> list[list[float]]:
+    """Row-major [re, im] pairs for one square complex matrix, given as a
+    sequence of rows."""
+    return [[float(z.real), float(z.imag)] for row in matrix for z in row]
 
-    return [[float(z.real), float(z.imag)] for z in np.asarray(matrix).reshape(-1)]
+
+_NUMBER = (int, float)  # not bool: JSON true and false are not numbers
 
 
-def _matrix_from_pairs(pairs: Any, dim: int, field: str) -> np.ndarray:
-    import numpy as np
-
+def _matrix_from_pairs(pairs: Any, dim: int, field: str) -> tuple:
+    """The dim x dim matrix of row-major [re, im] pairs, as rows of
+    `complex`."""
     if not isinstance(pairs, list) or len(pairs) != dim * dim:
         _fail(field, f"expected {dim * dim} [re, im] pairs (row-major)")
     values = []
     for i, pair in enumerate(pairs):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in pair)):
+                or type(pair[0]) not in _NUMBER or type(pair[1]) not in _NUMBER):
             _fail(f"{field}[{i}]", "expected an [re, im] pair of numbers")
         try:
             values.append(complex(pair[0], pair[1]))
         except OverflowError:
             _fail(f"{field}[{i}]", "number too large for a float")
-    return np.array(values, dtype=complex).reshape(dim, dim)
+    return tuple(tuple(values[r:r + dim]) for r in range(0, dim * dim, dim))
 
 
 @dataclass(frozen=True)
 class QuantumScenario:
-    """Two-time measurement setup: initial state, instrument, POVM."""
+    """Two-time measurement setup: initial state, instrument, POVM (from
+    `dutchbook.quantum`, which loads on the first scenario parsed)."""
 
-    rho0: DensityOperator
-    instrument: Instrument
-    povm: Povm
+    rho0: Any
+    instrument: Any
+    povm: Any
 
 
 def parse_quantum_scenario(data: Any) -> QuantumScenario:

@@ -11,23 +11,30 @@ those probabilities, and linear inversion recovers it.
 Instruments are stored in Kraus form so complete positivity is structural
 rather than numerically checked; a projective (Lueders) measurement is the
 instrument with its projectors as the Kraus operators, one per outcome.
+
+The operators are small (a few dimensions), so the arithmetic is plain
+Python: each matrix is a tuple of row tuples of `complex`, and the
+constructors accept any square nested sequence of numbers.
 Tolerances: 1e-10 for structural invariants (Hermiticity, trace, identity
-sums), eigenvalue floor -1e-10, 1e-12 for a zero outcome probability, 1e-8
+sums), eigenvalue floor -1e-10, 1e-12 for a zero outcome probability,
+1e-10 relative for a pivot of the informational-completeness test, 1e-8
 for the residual of a state reconstruction.  A structural check whose
 value overflows to inf or NaN fails, silently.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import mul, sub
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "STRUCT_TOL",
     "EIG_FLOOR",
     "ZERO_PROB_TOL",
+    "IC_TOL",
     "RECONSTRUCT_TOL",
     "QuantumError",
     "DimensionMismatchError",
@@ -55,9 +62,17 @@ EIG_FLOOR = -1e-10
 #: Outcome probability at or below which `post_state` refuses to normalize:
 #: dividing by it would turn rounding noise into a state.
 ZERO_PROB_TOL = 1e-12
+#: Informational completeness: a pivot of the elimination on the effect
+#: frame counts as zero when its magnitude is at most this times the
+#: frame's largest entry.  Effects are known only to `STRUCT_TOL`, so a
+#: direction they span at that relative level is not resolved.
+IC_TOL = 1e-10
 #: Largest residual |frame @ rho - probs| that `reconstruct_state` accepts
 #: as a state reproducing the probabilities; above it, none does.
 RECONSTRUCT_TOL = 1e-8
+
+#: A d x d complex matrix, row by row.
+Matrix = tuple[tuple[complex, ...], ...]
 
 
 class QuantumError(Exception):
@@ -89,55 +104,119 @@ class InconsistentProbabilitiesError(QuantumError):
     """No density operator reproduces the supplied outcome probabilities."""
 
 
-def _as_square(matrix, what: str) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+def _as_square(matrix, what: str) -> Matrix:
+    try:
+        m = tuple(tuple(map(complex, row)) for row in matrix)
+    except TypeError:  # a scalar, or rows that are not sequences of numbers
+        raise ValueError(f"{what} must be a square matrix of numbers") from None
+    widths = {len(row) for row in m}
+    if widths != {len(m)}:
+        shape = (len(m), *widths) if len(widths) <= 1 else "ragged"
+        raise ValueError(f"{what} must be a square matrix, got shape {shape}")
+    if not all(map(cmath.isfinite, chain.from_iterable(m))):
         raise ValueError(f"{what} has a non-finite entry")
     return m
 
 
+def _dagger(m: Matrix) -> Matrix:
+    return tuple(tuple(z.conjugate() for z in col) for col in zip(*m))
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _sum(matrices) -> Matrix:
+    """The entrywise sum, each entry summed in order from 0."""
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*matrices))
+
+
+def _trace(m: Matrix) -> complex:
+    return sum(row[i] for i, row in enumerate(m))
+
+
+def _trace_of_product(a: Matrix, b: Matrix) -> complex:
+    """tr(a @ b) = sum_rc a[r][c] b[c][r], without forming the product."""
+    return sum(map(mul, chain.from_iterable(a), chain.from_iterable(zip(*b))))
+
+
 # Entries are finite, but sums and products of entries near the float
-# maximum overflow to inf or NaN.  The structural checks run under this
-# errstate, so numpy prints no warning, and compare with `<=` or `>=`, so
-# such a value fails the check: NaN compares false with everything.
-_quiet = np.errstate(over="ignore", invalid="ignore")
+# maximum overflow to inf or NaN, and `abs` of a finite complex number can
+# overflow the float range.  Each check compares with `<=` or `>=`, so such
+# a value fails it: NaN compares false with everything.
 
 
 def _off(residual) -> bool:
     """Whether a residual that should vanish has an entry beyond
     `STRUCT_TOL`, or one that is not a number."""
-    return not np.abs(residual).max() <= STRUCT_TOL
+    try:
+        return not all(map(STRUCT_TOL.__ge__,
+                           map(abs, chain.from_iterable(residual))))
+    except OverflowError:  # |z| is beyond the float range, its parts are not
+        return True
 
 
-def _is_psd(m: np.ndarray) -> bool:
+def _non_hermitian(m: Matrix) -> bool:
+    # m - m† is anti-Hermitian: its diagonal and upper triangle hold every
+    # magnitude.
+    return _off(map(sub, row[r:], map(complex.conjugate, col[r:]))
+                for r, (row, col) in enumerate(zip(m, zip(*m))))
+
+
+def _not_identity(m: Matrix) -> bool:
+    return _off(row[:r] + (row[r] - 1,) + row[r + 1:] for r, row in enumerate(m))
+
+
+def _is_psd(m: Matrix) -> bool:
+    """Whether every eigenvalue of m's Hermitian part is at least
+    `EIG_FLOOR`.
+
+    That holds exactly when H - EIG_FLOOR*I is positive semidefinite, which
+    is tested by its LDL* factorization: every pivot is non-negative, and
+    a zero pivot has a zero column below it.  The factorization works on
+    the lower triangle, taking Schur complements until none is left.
+    """
     # Halving before adding keeps the Hermitian part finite.
-    return np.linalg.eigvalsh(m / 2 + m.conj().T / 2).min() >= EIG_FLOOR
+    a = [[x / 2 + y.conjugate() / 2 for x, y in zip(row[:r + 1], col)]
+         for r, (row, col) in enumerate(zip(m, zip(*m)))]
+    for r, row in enumerate(a):
+        row[r] -= EIG_FLOOR
+    while a:
+        pivot = a[0][0].real
+        rest = a[1:]
+        column = [row[0] for row in rest]
+        if not pivot > 0:
+            if pivot == 0 and not any(column):
+                a = [row[1:] for row in rest]
+                continue
+            return False
+        scaled = [z.conjugate() / pivot for z in column]
+        a = [[x - f * y for x, y in zip(row[1:], scaled)]
+             for f, row in zip(column, rest)]
+    return True
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A quantum state: Hermitian, unit-trace, positive semidefinite."""
 
-    matrix: np.ndarray
+    matrix: Matrix
 
-    @_quiet
     def __post_init__(self):
         m = _as_square(self.matrix, "density operator")
-        if _off(m - m.conj().T):
+        if _non_hermitian(m):
             raise ValueError("density operator must be Hermitian")
-        trace = m.trace()
-        if _off(trace - 1.0):
+        trace = _trace(m)
+        if _off([[trace - 1.0]]):
             raise ValueError(f"density operator trace must be 1, got {trace:.12g}")
         if not _is_psd(m):
             raise ValueError("density operator must be positive semidefinite")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +228,8 @@ class Instrument:
     preserving: sum over every Kraus operator of K†K equals the identity.
     """
 
-    outcomes: tuple[tuple[np.ndarray, ...], ...]
+    outcomes: tuple[tuple[Matrix, ...], ...]
 
-    @_quiet
     def __post_init__(self):
         if not self.outcomes:
             raise ValueError("instrument needs at least one outcome")
@@ -165,39 +243,38 @@ class Instrument:
             for k in kraus_list:
                 k = _as_square(k, "Kraus operator")
                 if dim is None:
-                    dim = k.shape[0]
-                elif k.shape[0] != dim:
+                    dim = len(k)
+                elif len(k) != dim:
                     raise DimensionMismatchError(
-                        f"Kraus operators mix dimensions {dim} and {k.shape[0]}")
-                k.setflags(write=False)
+                        f"Kraus operators mix dimensions {dim} and {len(k)}")
                 ops.append(k)
             packed.append(tuple(ops))
-        total = sum(k.conj().T @ k for ops in packed for k in ops)
-        if _off(total - np.eye(dim)):
+        if _not_identity(_sum(_matmul(_dagger(k), k)
+                              for k in chain.from_iterable(packed))):
             raise NotTracePreservingError(
                 "Kraus operators must satisfy sum K†K = identity")
         object.__setattr__(self, "outcomes", tuple(packed))
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0][0].shape[0]
+        return len(self.outcomes[0][0])
 
     @property
     def n_outcomes(self) -> int:
         return len(self.outcomes)
 
-    def apply(self, i: int, rho: np.ndarray) -> np.ndarray:
+    def apply(self, i: int, rho: Matrix) -> Matrix:
         """The (unnormalized) image F_i(rho)."""
-        return sum(k @ rho @ k.conj().T for k in self.outcomes[i])
+        return _sum(_matmul(_matmul(k, rho), _dagger(k))
+                    for k in self.outcomes[i])
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
     """A positive operator valued measure: PSD effects resolving identity."""
 
-    effects: tuple[np.ndarray, ...]
+    effects: tuple[Matrix, ...]
 
-    @_quiet
     def __post_init__(self):
         if not self.effects:
             raise ValueError("POVM needs at least one effect")
@@ -206,24 +283,22 @@ class Povm:
         for j, e in enumerate(self.effects):
             e = _as_square(e, f"effect {j}")
             if dim is None:
-                dim = e.shape[0]
-            elif e.shape[0] != dim:
+                dim = len(e)
+            elif len(e) != dim:
                 raise DimensionMismatchError(
-                    f"effects mix dimensions {dim} and {e.shape[0]}")
-            if _off(e - e.conj().T):
+                    f"effects mix dimensions {dim} and {len(e)}")
+            if _non_hermitian(e):
                 raise ValueError(f"effect {j} must be Hermitian")
             if not _is_psd(e):
                 raise ValueError(f"effect {j} must be positive semidefinite")
-            e.setflags(write=False)
             packed.append(e)
-        total = sum(packed)
-        if _off(total - np.eye(dim)):
+        if _not_identity(_sum(packed)):
             raise ValueError("effects must sum to the identity")
         object.__setattr__(self, "effects", tuple(packed))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return len(self.effects[0])
 
     @property
     def n_outcomes(self) -> int:
@@ -238,7 +313,7 @@ def _require_same_dim(*dims: int):
 def first_outcome_probs(ins: Instrument, rho: DensityOperator) -> list[float]:
     """P_0(i) = tr[F_i(rho_0)] for each outcome of the first measurement."""
     _require_same_dim(ins.dim, rho.dim)
-    return [float(ins.apply(i, rho.matrix).trace().real)
+    return [_trace(ins.apply(i, rho.matrix)).real
             for i in range(ins.n_outcomes)]
 
 
@@ -255,13 +330,15 @@ def post_state(ins: Instrument, i: int, rho: DensityOperator) -> DensityOperator
     """
     _require_same_dim(ins.dim, rho.dim)
     image = ins.apply(i, rho.matrix)
-    p = float(image.trace().real)
+    p = _trace(image).real
     if p <= ZERO_PROB_TOL:
         raise ZeroProbabilityOutcomeError(
             f"outcome {i} has probability {p:.3g}; posterior state undefined")
-    m = image / p
+    m = tuple(tuple(z / p for z in row) for row in image)
     try:
-        return DensityOperator(m / 2 + m.conj().T / 2)
+        return DensityOperator(tuple(
+            tuple(x / 2 + y.conjugate() / 2 for x, y in zip(row, col))
+            for row, col in zip(m, zip(*m))))
     except ValueError:
         raise TinyProbabilityOutcomeError(
             f"outcome {i} has probability {p:.3g}, too small for a posterior "
@@ -271,7 +348,7 @@ def post_state(ins: Instrument, i: int, rho: DensityOperator) -> DensityOperator
 def outcome_probs(pov: Povm, rho: DensityOperator) -> list[float]:
     """Born probabilities tr(E_j rho) of a single POVM measurement."""
     _require_same_dim(pov.dim, rho.dim)
-    return [float((e @ rho.matrix).trace().real) for e in pov.effects]
+    return [_trace_of_product(e, rho.matrix).real for e in pov.effects]
 
 
 def reflection_prob(ins: Instrument, pov: Povm,
@@ -285,7 +362,7 @@ def reflection_prob(ins: Instrument, pov: Povm,
     """
     _require_same_dim(ins.dim, pov.dim, rho0.dim)
     images = [ins.apply(i, rho0.matrix) for i in range(ins.n_outcomes)]
-    return [float(sum((e @ im).trace().real for im in images))
+    return [sum(_trace_of_product(e, im) for im in images).real
             for e in pov.effects]
 
 
@@ -295,29 +372,72 @@ def decohered_state(ins: Instrument, rho0: DensityOperator) -> DensityOperator:
     Reproduces reflection_prob for every POVM: tr(E_j rho'_0) = P_0(j).
     """
     _require_same_dim(ins.dim, rho0.dim)
-    total = sum(ins.apply(i, rho0.matrix) for i in range(ins.n_outcomes))
-    return DensityOperator(total)
+    return DensityOperator(_sum(ins.apply(i, rho0.matrix)
+                                for i in range(ins.n_outcomes)))
 
 
-def _frame_matrix(pov: Povm) -> np.ndarray:
-    """Rows vec(E_j^T), so that frame @ vec(rho) = [tr(E_j rho)]_j."""
-    return np.stack([e.T.reshape(-1) for e in pov.effects])
+def _frame_matrix(pov: Povm) -> list[list[float]]:
+    """The real frame: row j holds E_j's coefficients on the d^2 real
+    coordinates of a Hermitian rho (rho[a][a], then Re and Im of rho[a][b]
+    for a < b), so that frame @ coords(rho) = [tr(E_j rho)]_j."""
+    d = pov.dim
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    return [[e[a][a].real for a in range(d)]
+            + list(chain.from_iterable(
+                ((e[a][b] + e[b][a]).real, (e[a][b] - e[b][a]).imag)
+                for a, b in pairs))
+            for e in pov.effects]
+
+
+def _eliminate(rows: list[list[float]], ncols: int, tol: float) -> int:
+    """Gaussian elimination with partial pivoting, in place, over the first
+    `ncols` columns of `rows` (later columns are carried along).  A pivot
+    of magnitude at most `tol` counts as zero and its column is skipped.
+    Returns the rank; rows[:rank] are then in row echelon form."""
+    rank = 0
+    for c in range(ncols):
+        sizes = [abs(row[c]) for row in rows[rank:]]
+        if not sizes or not max(sizes) > tol:
+            continue
+        best = rank + sizes.index(max(sizes))
+        head = rows[best]
+        rows[rank], rows[best] = head, rows[rank]
+        tail = head[c + 1:]
+        for row in rows[rank + 1:]:
+            f = row[c] / head[c]
+            if f:
+                row[c + 1:] = map(sub, row[c + 1:], map(mul, repeat(f), tail))
+        rank += 1
+    return rank
 
 
 def is_informationally_complete(pov: Povm) -> bool:
-    """Whether the effects span the full d^2-dimensional operator space."""
-    d = pov.dim
-    return int(np.linalg.matrix_rank(_frame_matrix(pov))) == d * d
+    """Whether the effects span the full d^2-dimensional operator space.
+
+    The rank of the real frame is read off Gaussian elimination with
+    partial pivoting, a pivot counting as zero at or below `IC_TOL` times
+    the frame's largest absolute entry.
+    """
+    n = pov.dim ** 2
+    frame = _frame_matrix(pov)
+    scale = max(map(abs, chain.from_iterable(frame)))
+    return _eliminate(frame, n, IC_TOL * scale) == n
 
 
-@_quiet
+def _worst(values) -> float:
+    """The largest value, or NaN if any value is NaN."""
+    values = list(values)
+    return float("nan") if any(v != v for v in values) else max(values)
+
+
 def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     """The unique density operator with tr(E_j rho) = probs[j].
 
-    Least-squares linear inversion on the effect frame.  Refuses non-IC
-    POVMs (the operator would not be unique) and probability lists no
-    state reproduces: a non-finite probability, or a residual above
-    `RECONSTRUCT_TOL` or overflowing to inf or NaN.
+    Least-squares linear inversion on the real effect frame, through the
+    normal equations.  Refuses non-IC POVMs (the operator would not be
+    unique) and probability lists no state reproduces: a non-finite
+    probability, or a residual above `RECONSTRUCT_TOL` or overflowing to
+    inf or NaN.
     """
     if len(probs) != pov.n_outcomes:
         raise ValueError(
@@ -325,17 +445,36 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     if not is_informationally_complete(pov):
         raise NotInformationallyCompleteError(
             "effects are rank-deficient; the state is not determined")
-    target = np.asarray(probs, dtype=complex)
-    if not np.isfinite(target).all():
+    target = [float(p) for p in probs]
+    if not all(map(cmath.isfinite, target)):
         raise InconsistentProbabilitiesError(
             "no state matches probabilities that are not finite")
     d = pov.dim
+    n = d * d
     frame = _frame_matrix(pov)
-    vec, *_ = np.linalg.lstsq(frame, target, rcond=None)
-    residual = float(np.abs(frame @ vec - target).max())
+    # The normal equations G x = F^T p, G = F^T F, as one augmented system.
+    cols = list(zip(*frame))
+    system = [[0.0] * n + [sum(map(mul, u, target))] for u in cols]
+    for i, u in enumerate(cols):
+        for j in range(i, n):
+            system[i][j] = system[j][i] = sum(map(mul, u, cols[j]))
+    if _eliminate(system, n, 0.0) < n:  # G is singular in floating point
+        raise NotInformationallyCompleteError(
+            "effects are rank-deficient; the state is not determined")
+    coords = [0.0] * n
+    for k in reversed(range(n)):
+        row = system[k]
+        coords[k] = (row[n] - sum(map(mul, row[k + 1:n], coords[k + 1:]))) / row[k]
+    residual = _worst(abs(sum(map(mul, row, coords)) - p)
+                      for row, p in zip(frame, target))
     if not residual <= RECONSTRUCT_TOL:
         raise InconsistentProbabilitiesError(
             f"no state matches the probabilities (residual {residual:.3g})")
-    rho = vec.reshape(d, d)
-    rho = rho / 2 + rho.conj().T / 2
+    rho = [[0j] * d for _ in range(d)]
+    upper = iter(coords[d:])
+    for a in range(d):
+        rho[a][a] = complex(coords[a])
+        for b in range(a + 1, d):
+            z = complex(next(upper), next(upper))
+            rho[a][b], rho[b][a] = z, z.conjugate()
     return DensityOperator(rho)

@@ -1,7 +1,7 @@
 """Random and fixed quantum inputs for the test suites.
 
-Haar-random unitaries, states, instruments, POVMs and projector families;
-pure states, projective (Lueders) instruments, the qubit's
+Haar-random unitaries, states, instruments, POVMs, projector families and
+whole scenarios; pure states, projective (Lueders) instruments, the qubit's
 computational-basis projectors and its tetrahedron POVM; and the tolerance
 the tests hold algebraic identities to.  The library never calls these;
 the tests build their scenarios from them.
@@ -94,6 +94,18 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
     vals, vecs = np.linalg.eigh(s)
     inv_sqrt = vecs @ np.diag(vals ** -0.5) @ vecs.conj().T
     return Povm(tuple(inv_sqrt @ a @ inv_sqrt for a in seeds))
+
+
+def random_triple(dim: int, rng: np.random.Generator
+                  ) -> tuple[DensityOperator, Instrument, Povm]:
+    """A random scenario shaped as the benchmark's: a full-rank state, an
+    instrument of two or three outcomes with one or two Kraus operators
+    each, and a whitened, informationally complete POVM of 2 dim^2
+    effects."""
+    rho = random_density(dim, rng)
+    ins = random_instrument(dim, int(rng.integers(2, 4)), rng,
+                            kraus_per_outcome=int(rng.integers(1, 3)))
+    return rho, ins, random_povm(dim, 2 * dim * dim, rng)
 
 
 def random_projector_family(dim: int, ranks: Sequence[int],

@@ -434,16 +434,17 @@ def test_demo_quantum_tiny_outcome_gets_a_posterior_state(capsys, tmp_path):
 def test_demo_quantum_too_small_outcome_keeps_the_report(capsys, tmp_path):
     # Outcome 1 has probability ~1e-12, just above the zero floor, and its
     # normalized image is not positive in floating point: |v><v| with
-    # v = u0 + 1e-6 u1 for the basis u rotated by 0.66 rad, Lueders
+    # v = u0 + 1e-6 u1 for the basis u rotated by 0.8 rad, Lueders
     # projectors on u0 and u1 as both instrument and POVM.  That outcome
-    # gets a null posterior and the rest of the report stays.
+    # gets a null posterior and the rest of the report stays.  Which angles
+    # show it depends on the rounding of the matrix products.
     import numpy as np
 
     def pairs(m):
         return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
 
-    u0 = np.array([np.cos(0.66), np.sin(0.66)], dtype=complex)
-    u1 = np.array([-np.sin(0.66), np.cos(0.66)], dtype=complex)
+    u0 = np.array([np.cos(0.8), np.sin(0.8)], dtype=complex)
+    u1 = np.array([-np.sin(0.8), np.cos(0.8)], dtype=complex)
     v = u0 + 1e-6 * u1
     p0, p1 = pairs(np.outer(u0, u0.conj())), pairs(np.outer(u1, u1.conj()))
     path = tmp_path / "scenario.json"
@@ -479,6 +480,31 @@ def test_demo_quantum_overflowing_state_prints_one_error_line(tmp_path):
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == ("dutchbook: error: scenario.rho0: density operator "
                            "trace must be 1, got inf+0j\n")
+
+
+_HUGE = [1.7e308, 1.7e308]  # finite parts, but |z| overflows a float
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"rho0": [_HUGE] * 4}, "scenario.rho0: density operator must be Hermitian"),
+    ({"rho0": [[0.5, 0], _HUGE, [0, 0], [0.5, 0]]},
+     "scenario.rho0: density operator must be Hermitian"),
+    ({"instrument": [[[[1, 0], _HUGE, [0, 0], [0, 0]]]]},
+     "scenario.instrument: Kraus operators must satisfy sum K†K = identity"),
+    ({"povm": [[[0.5, 0], _HUGE, [0, 0], [0.5, 0]], _Z1]},
+     "scenario.povm: effect 0 must be Hermitian"),
+], ids=["state", "state-entry", "kraus-entry", "effect-entry"])
+def test_demo_quantum_huge_entries_print_one_error_line(tmp_path, doc, message):
+    # Checks whose residual or absolute value leaves the float range fail
+    # as checks; the error is one line, with no traceback or warning.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**json.loads(_scenario([[0.5, 0], [0, 0],
+                                                        [0, 0], [0.5, 0]])),
+                                **doc}))
+    done = _spawn(sys.executable, "-W", "default", "-m", "dutchbook.cli",
+                  "demo-quantum", str(path))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"dutchbook: error: {message}\n"
 
 
 def test_demo_quantum_bad_file(capsys):
@@ -559,30 +585,36 @@ def test_structured_runs_render_no_text(capsys, monkeypatch):
 
 # ------------------------------------------------------------- lazy numpy
 
-# Prints, as the interpreter exits, whether numpy was ever imported.
+# Prints, as the interpreter exits, whether numpy and the quantum module
+# were ever imported.
 _REPORT_NUMPY = ("import atexit, sys\n"
                  "atexit.register(lambda: print('numpy' in sys.modules, "
-                 "file=sys.stderr))\n")
+                 "'dutchbook.quantum' in sys.modules, file=sys.stderr))\n")
 _RUN_CLI = "import runpy\nrunpy.run_module('dutchbook.cli', run_name='__main__')"
 
 
-@pytest.mark.parametrize("statement, argv, code, numpy_loaded", [
-    ("import dutchbook", [], 0, False),
-    ("import dutchbook.cli", [], 0, False),
-    (_RUN_CLI, ["audit", str(SAMPLES / "coherent_book.json")], 0, False),
+@pytest.mark.parametrize("statement, argv, code, numpy_loaded, quantum_loaded", [
+    ("import dutchbook", [], 0, False, False),
+    ("import dutchbook.cli", [], 0, False, False),
+    (_RUN_CLI, ["audit", str(SAMPLES / "coherent_book.json")], 0, False, False),
     (_RUN_CLI, ["audit", "--temporal",
-                str(SAMPLES / "temporal_reflection_violation.json")], 2, False),
-    (_RUN_CLI, ["demo-reflection"], 2, False),
-    (_RUN_CLI, ["demo-polarization"], 0, False),
-    # The quantum subcommand does load it, which shows the probe works.
-    (_RUN_CLI, ["demo-quantum", str(SAMPLES / "qubit_z_then_x.json")], 0, True),
+                str(SAMPLES / "temporal_reflection_violation.json")], 2,
+     False, False),
+    (_RUN_CLI, ["demo-reflection"], 2, False, False),
+    (_RUN_CLI, ["demo-polarization"], 0, False, False),
+    # The quantum subcommand loads the quantum module, and no numpy.
+    (_RUN_CLI, ["demo-quantum", str(SAMPLES / "qubit_z_then_x.json")], 0,
+     False, True),
+    # Importing numpy shows the probe sees it.
+    ("import numpy", [], 0, True, False),
 ], ids=["import-package", "import-cli", "audit", "audit-temporal",
-        "demo-reflection", "demo-polarization", "demo-quantum"])
+        "demo-reflection", "demo-polarization", "demo-quantum",
+        "import-numpy"])
 def test_numpy_loads_only_on_the_quantum_path(statement, argv, code,
-                                              numpy_loaded):
+                                              numpy_loaded, quantum_loaded):
     done = _spawn(sys.executable, "-c", _REPORT_NUMPY + statement, *argv)
     assert done.returncode == code, done.stderr
-    assert done.stderr == f"{numpy_loaded}\n"
+    assert done.stderr == f"{numpy_loaded} {quantum_loaded}\n"
 
 
 def test_every_public_name_resolves():

@@ -70,7 +70,7 @@ def test_load_sample_quantum():
     assert sc.rho0.dim == 2
     assert sc.instrument.n_outcomes == 2
     assert sc.povm.n_outcomes == 2
-    assert np.abs(sc.rho0.matrix - 0.5).max() == 0.0
+    assert np.abs(np.array(sc.rho0.matrix) - 0.5).max() == 0.0
 
 
 # ----------------------------------------------------------- audit documents
@@ -397,13 +397,13 @@ def test_missing_scenario_fields_named():
 
 
 def test_matrix_pairs_round_trip(rng):
-    rho = random_density(3, rng).matrix
+    rho = np.array(random_density(3, rng).matrix)
     pairs = matrix_to_pairs(rho)
     assert len(pairs) == 9
     eye = matrix_to_pairs(np.eye(3))
     sc = parse_quantum_scenario({"dim": 3, "rho0": pairs,
                                  "instrument": [[eye]], "povm": [eye]})
-    assert np.abs(sc.rho0.matrix - rho).max() == 0.0
+    assert np.abs(np.array(sc.rho0.matrix) - rho).max() == 0.0
 
 
 def test_matrix_from_pairs_errors():

@@ -35,6 +35,7 @@ from quantum_fixtures import (
     random_instrument,
     random_povm,
     random_projector_family,
+    random_triple,
     tetrahedron_povm,
     z_basis_projectors,
 )
@@ -58,7 +59,8 @@ def _six_effect_povm():
     # operator space, so some probability lists match no state at all.
     tetra = tetrahedron_povm()
     z0, z1 = z_basis_projectors()
-    return Povm(tuple(e / 2 for e in tetra.effects) + (z0 / 2, z1 / 2))
+    return Povm(tuple(np.array(e) / 2 for e in tetra.effects)
+                + (z0 / 2, z1 / 2))
 
 
 # ------------------------------------------------------------------ datatypes
@@ -87,14 +89,14 @@ def test_density_operator_validation():
 
 def test_density_operator_from_ket_normalizes():
     rho = pure_state([2.0, 0.0])
-    assert np.abs(rho.matrix - np.diag([1.0, 0.0])).max() <= ALG_TOL
+    assert np.abs(np.array(rho.matrix) - np.diag([1.0, 0.0])).max() <= ALG_TOL
     assert rho.dim == 2
 
 
 def test_density_operator_matrix_is_read_only():
     rho = pure_state(KET0)
-    with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 0.5
+    with pytest.raises(TypeError):
+        rho.matrix[0][0] = 0.5
 
 
 def test_instrument_validation():
@@ -110,17 +112,26 @@ def test_instrument_validation():
 
 def test_overflowing_checks_fail_without_warnings():
     # Finite entries whose sums or products overflow: each check value is
-    # inf or NaN, which must fail the check, and numpy must stay silent.
+    # inf or NaN, which must fail the check, and no warning appears.
     big = np.diag([1e308, 1e308]).astype(complex)
+    huge = 1.7e308 + 1.7e308j  # finite, but |huge| overflows a float
     cases = [
         (ValueError, "trace must be 1, got inf",
          lambda: DensityOperator(np.full((2, 2), 1e308, dtype=complex))),
-        (ValueError, "trace must be 1, got nan",
+        # The trace sums in order, so it overflows to inf, never to NaN.
+        (ValueError, "trace must be 1, got inf",
          lambda: DensityOperator(np.diag([1e308, 1e308, -1e308, -1e308]))),
+        (ValueError, "trace must be 1, got -inf",
+         lambda: DensityOperator(np.diag([-1e308, -1e308, 1e308, 1e308]))),
         # K†K has entries inf and NaN; a NaN residual used to pass.
         (NotTracePreservingError, "identity",
          lambda: Instrument(((np.diag([1e200 + 1e200j, 0.0]),),))),
         (ValueError, "sum to the identity", lambda: Povm((big, big))),
+        # A residual entry whose absolute value overflows fails its check.
+        (ValueError, "must be Hermitian",
+         lambda: DensityOperator([[0.5, huge], [0, 0.5]])),
+        (NotTracePreservingError, "identity",
+         lambda: Instrument((([[1, huge], [0, 0]],),))),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -172,7 +183,7 @@ def test_first_outcome_probs_dimension_mismatch():
 def test_post_state_collapses_plus_to_basis():
     rho = pure_state(PLUS)
     post = post_state(_z_instrument(), 0, rho)
-    assert np.abs(post.matrix - np.diag([1.0, 0.0])).max() <= ALG_TOL
+    assert np.abs(np.array(post.matrix) - np.diag([1.0, 0.0])).max() <= ALG_TOL
 
 
 def test_post_state_zero_probability_outcome():
@@ -198,8 +209,9 @@ def test_post_state_of_a_tiny_outcome_is_a_state():
     rho, ins, u1 = _rotated_scenario(0.3, 1e-5, 1j)
     assert abs(first_outcome_probs(ins, rho)[1] - 1e-10) <= 1e-15
     post = post_state(ins, 1, rho)
-    assert np.array_equal(post.matrix, post.matrix.conj().T)
-    assert np.abs(post.matrix - np.outer(u1, u1.conj())).max() <= 1e-6
+    m = np.array(post.matrix)
+    assert np.array_equal(m, m.conj().T)
+    assert np.abs(m - np.outer(u1, u1.conj())).max() <= 1e-6
 
 
 def test_post_state_never_fails_untyped_near_the_zero_floor():
@@ -251,8 +263,8 @@ def test_trivial_instrument_changes_nothing():
     reflected = reflection_prob(identity_ins, _x_povm(), rho)
     assert np.abs(np.array(reflected)
                   - np.array(outcome_probs(_x_povm(), rho))).max() <= ALG_TOL
-    assert np.abs(decohered_state(identity_ins, rho).matrix
-                  - rho.matrix).max() <= ALG_TOL
+    assert np.abs(np.array(decohered_state(identity_ins, rho).matrix)
+                  - np.array(rho.matrix)).max() <= ALG_TOL
 
 
 def test_headline_scenario_plus_state_z_then_x():
@@ -266,7 +278,7 @@ def test_headline_scenario_plus_state_z_then_x():
     assert np.abs(np.array(reflected) - 0.5).max() <= ALG_TOL
     assert np.abs(np.array(direct) - np.array([1.0, 0.0])).max() <= ALG_TOL
     rho_dec = decohered_state(ins, rho)
-    assert np.abs(rho_dec.matrix - EYE2 / 2).max() <= ALG_TOL
+    assert np.abs(np.array(rho_dec.matrix) - EYE2 / 2).max() <= ALG_TOL
 
 
 def test_reflection_matches_posterior_average(rng):
@@ -308,8 +320,8 @@ def test_unitary_instrument_decoheres_to_rotation():
     ins = Instrument(((hadamard,),))
     rho = pure_state(KET0)
     rho_dec = decohered_state(ins, rho)
-    expected = hadamard @ rho.matrix @ hadamard.conj().T
-    assert np.abs(rho_dec.matrix - expected).max() <= ALG_TOL
+    expected = hadamard @ np.array(rho.matrix) @ hadamard.conj().T
+    assert np.abs(np.array(rho_dec.matrix) - expected).max() <= ALG_TOL
 
 
 # ----------------------------------------------------------- projective case
@@ -318,24 +330,24 @@ def test_unitary_instrument_decoheres_to_rotation():
 def test_lueders_zeroes_off_diagonal_terms(rng):
     rho = random_density(2, rng)
     result = decohered_state(lueders_instrument(z_basis_projectors()), rho)
-    expected = np.diag(np.diag(rho.matrix))
-    assert np.abs(result.matrix - expected).max() <= ALG_TOL
+    expected = np.diag(np.diag(np.array(rho.matrix)))
+    assert np.abs(np.array(result.matrix) - expected).max() <= ALG_TOL
 
 
 def test_lueders_with_identity_family_is_identity(rng):
     rho = random_density(3, rng)
     result = decohered_state(lueders_instrument((np.eye(3, dtype=complex),)), rho)
-    assert np.abs(result.matrix - rho.matrix).max() <= ALG_TOL
+    assert np.abs(np.array(result.matrix) - np.array(rho.matrix)).max() <= ALG_TOL
 
 
 def test_lueders_zeroes_cross_blocks(rng):
     ps = random_projector_family(4, (2, 2), rng)
     rho = random_density(4, rng)
-    result = decohered_state(lueders_instrument(ps), rho).matrix
+    result = np.array(decohered_state(lueders_instrument(ps), rho).matrix)
     cross = ps[0] @ result @ ps[1]
     assert np.abs(cross).max() <= ALG_TOL
     # Diagonal blocks survive untouched.
-    kept = ps[0] @ rho.matrix @ ps[0]
+    kept = ps[0] @ np.array(rho.matrix) @ ps[0]
     assert np.abs(ps[0] @ result @ ps[0] - kept).max() <= ALG_TOL
 
 
@@ -346,15 +358,16 @@ def test_lueders_is_idempotent(rng):
         ins = lueders_instrument(ps)
         once = decohered_state(ins, rho)
         twice = decohered_state(ins, once)
-        assert np.abs(twice.matrix - once.matrix).max() <= ALG_TOL
+        assert np.abs(np.array(twice.matrix)
+                      - np.array(once.matrix)).max() <= ALG_TOL
 
 
 def test_lueders_matches_general_instrument(rng):
     ps = random_projector_family(3, (1, 2), rng)
     rho = random_density(3, rng)
     via_instrument = decohered_state(lueders_instrument(ps), rho)
-    direct = sum(p @ rho.matrix @ p for p in ps)
-    assert np.abs(via_instrument.matrix - direct).max() <= ALG_TOL
+    direct = sum(p @ np.array(rho.matrix) @ p for p in ps)
+    assert np.abs(np.array(via_instrument.matrix) - direct).max() <= ALG_TOL
 
 
 # --------------------------------------------------- informational completeness
@@ -363,9 +376,15 @@ def test_lueders_matches_general_instrument(rng):
 def test_frame_matrix_reproduces_born_rule(rng):
     pov = random_povm(3, 5, rng)
     rho = random_density(3, rng)
-    frame = _frame_matrix(pov)
+    frame = np.array(_frame_matrix(pov))
     assert frame.shape == (5, 9)
-    via_frame = frame @ rho.matrix.reshape(-1)
+    # The real coordinates of a Hermitian matrix: its diagonal, then the
+    # real and imaginary parts of each entry above it, row by row.
+    m = np.array(rho.matrix)
+    upper = m[np.triu_indices(3, 1)]
+    coords = np.concatenate([m.diagonal().real,
+                             np.stack([upper.real, upper.imag], 1).reshape(-1)])
+    via_frame = frame @ coords
     assert np.abs(via_frame - np.array(outcome_probs(pov, rho))).max() <= ALG_TOL
 
 
@@ -382,14 +401,16 @@ def test_reconstruct_round_trip(rng):
     for _ in range(20):
         rho = random_density(2, rng)
         rebuilt = reconstruct_state(pov, outcome_probs(pov, rho))
-        assert np.linalg.norm(rebuilt.matrix - rho.matrix) <= 1e-10
+        assert np.linalg.norm(np.array(rebuilt.matrix)
+                              - np.array(rho.matrix)) <= 1e-10
 
 
 def test_reconstruct_round_trip_overdetermined(rng):
     pov = _six_effect_povm()
     rho = random_density(2, rng)
     rebuilt = reconstruct_state(pov, outcome_probs(pov, rho))
-    assert np.linalg.norm(rebuilt.matrix - rho.matrix) <= 1e-10
+    assert np.linalg.norm(np.array(rebuilt.matrix)
+                          - np.array(rho.matrix)) <= 1e-10
 
 
 def test_reconstruct_requires_completeness():
@@ -430,15 +451,48 @@ def test_reconstruct_refuses_non_finite_work_without_warnings(probs, message):
         reconstruct_state(tetrahedron_povm(), probs)
 
 
+# ---------------------------------------------------------- numpy reference
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_random_triples_match_a_numpy_reference(dim, rng):
+    for _ in range(3):
+        rho, ins, pov = random_triple(dim, rng)
+        r = np.array(rho.matrix)
+        effects = [np.array(e) for e in pov.effects]
+        images = [sum(np.array(k) @ r @ np.array(k).conj().T for k in ks)
+                  for ks in ins.outcomes]
+        decohered = sum(images)
+        reflection = [(e @ decohered).trace().real for e in effects]
+        frame = np.stack([e.T.reshape(-1) for e in effects])
+        vec, *_ = np.linalg.lstsq(frame, np.array(reflection, dtype=complex),
+                                  rcond=None)
+        rebuilt = vec.reshape(dim, dim)
+        rebuilt = (rebuilt + rebuilt.conj().T) / 2
+
+        def gap(got, want):
+            return np.abs(np.array(got) - np.array(want)).max()
+
+        assert gap(first_outcome_probs(ins, rho),
+                   [im.trace().real for im in images]) <= ALG_TOL
+        assert gap(reflection_prob(ins, pov, rho), reflection) <= ALG_TOL
+        assert gap(outcome_probs(pov, rho),
+                   [(e @ r).trace().real for e in effects]) <= ALG_TOL
+        assert gap(decohered_state(ins, rho).matrix, decohered) <= ALG_TOL
+        assert is_informationally_complete(pov)
+        assert gap(reconstruct_state(pov, reflection).matrix, rebuilt) <= 1e-10
+
+
 # ------------------------------------------------------------ fixed ensembles
 
 
 def test_tetrahedron_geometry():
     pov = tetrahedron_povm()
     assert pov.n_outcomes == 4
-    for i, a in enumerate(pov.effects):
+    effects = [np.array(e) for e in pov.effects]
+    for i, a in enumerate(effects):
         assert abs(a.trace() - 0.5) <= ALG_TOL
-        for j, b in enumerate(pov.effects):
+        for j, b in enumerate(effects):
             want = 0.25 if i == j else 1 / 12
             assert abs((a @ b).trace() - want) <= ALG_TOL
 
@@ -457,7 +511,7 @@ def test_random_density_is_full_rank(rng):
     for dim in (2, 3, 4, 5):
         rho = random_density(dim, rng)
         assert rho.dim == dim
-        assert np.linalg.eigvalsh(rho.matrix).min() > 0.0
+        assert np.linalg.eigvalsh(np.array(rho.matrix)).min() > 0.0
 
 
 def test_random_instrument_shapes(rng):

@@ -13,85 +13,54 @@ The public names are the ones the `dutchbook` command and its benchmark
 use.  A witness or a joint is read as its pmf over the atoms; event
 probabilities and Boolean event algebra are left to callers.
 
-The package needs only the standard library.  The quantum module's names
-are resolved on first access (PEP 562), so `import dutchbook` and the
-exact-arithmetic audits never pay to compile and load it.
+The package needs only the standard library.  Every public name is
+resolved from its submodule on first access (PEP 562), so `import
+dutchbook` loads no submodule, and a command compiles and loads only the
+modules it runs.
 """
 
-from .beliefs import BeliefState, Event, OutcomeSpace, as_fraction
-from .diachronic import (
-    ConditioningResult,
-    ReflectionResult,
-    StrategyNotAdoptedError,
-    TemporalModel,
-    Violation,
-    conditioning_strategy_check,
-    reflection_check,
-)
-from .exchangeable import (
-    MAX_PI_BITS,
-    BitString,
-    ScenarioReport,
-    pi_fractional_bits,
-    predictive_next,
-    scenario_report,
-)
-from .formats import (
-    AuditDocument,
-    AuditFileError,
-    QuantumScenario,
-    load_audit_file,
-    load_quantum_file,
-    parse_audit_document,
-    parse_quantum_scenario,
-    render_structured,
-)
-from .synchronic import (
-    Assessment,
-    CoherenceResult,
-    Portfolio,
-    PortfolioLeg,
-    PriceBook,
-    check_coherence,
-    settle,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-_QUANTUM_NAMES = (
-    "DensityOperator", "Instrument", "Povm", "QuantumError",
-    "DimensionMismatchError", "NotTracePreservingError",
-    "ZeroProbabilityOutcomeError", "TinyProbabilityOutcomeError",
-    "NotInformationallyCompleteError", "InconsistentProbabilitiesError",
-    "first_outcome_probs", "post_state", "outcome_probs", "reflection_prob",
-    "decohered_state", "is_informationally_complete", "reconstruct_state",
-)
+# Public name -> the submodule that defines it, imported on first access.
+_SUBMODULE = {
+    **dict.fromkeys(("OutcomeSpace", "Event", "BeliefState", "as_fraction"),
+                    "beliefs"),
+    **dict.fromkeys(("Assessment", "PriceBook", "Portfolio", "PortfolioLeg",
+                     "CoherenceResult", "check_coherence", "settle"),
+                    "synchronic"),
+    **dict.fromkeys(("TemporalModel", "Violation", "ReflectionResult",
+                     "ConditioningResult", "StrategyNotAdoptedError",
+                     "reflection_check", "conditioning_strategy_check"),
+                    "diachronic"),
+    **dict.fromkeys(("BitString", "ScenarioReport", "MAX_PI_BITS",
+                     "predictive_next", "pi_fractional_bits",
+                     "scenario_report"), "exchangeable"),
+    **dict.fromkeys((
+        "DensityOperator", "Instrument", "Povm", "QuantumError",
+        "DimensionMismatchError", "NotTracePreservingError",
+        "ZeroProbabilityOutcomeError", "TinyProbabilityOutcomeError",
+        "NotInformationallyCompleteError", "InconsistentProbabilitiesError",
+        "first_outcome_probs", "post_state", "outcome_probs",
+        "reflection_prob", "decohered_state", "is_informationally_complete",
+        "reconstruct_state",
+    ), "quantum"),
+    **dict.fromkeys(("AuditDocument", "AuditFileError", "QuantumScenario",
+                     "load_audit_file", "load_quantum_file",
+                     "parse_audit_document", "parse_quantum_scenario",
+                     "render_structured"), "formats"),
+}
 
-__all__ = [
-    "__version__",
-    # beliefs
-    "OutcomeSpace", "Event", "BeliefState", "as_fraction",
-    # synchronic
-    "Assessment", "PriceBook", "Portfolio", "PortfolioLeg",
-    "CoherenceResult", "check_coherence", "settle",
-    # diachronic
-    "TemporalModel", "Violation", "ReflectionResult", "ConditioningResult",
-    "StrategyNotAdoptedError", "reflection_check",
-    "conditioning_strategy_check",
-    # exchangeable
-    "BitString", "ScenarioReport", "MAX_PI_BITS", "predictive_next",
-    "pi_fractional_bits", "scenario_report",
-    # quantum, loaded on first access
-    *_QUANTUM_NAMES,
-    # formats
-    "AuditDocument", "AuditFileError", "QuantumScenario",
-    "load_audit_file", "load_quantum_file", "parse_audit_document",
-    "parse_quantum_scenario", "render_structured",
-]
+__all__ = ["__version__", *_SUBMODULE]
 
 
 def __getattr__(name: str):
-    if name in _QUANTUM_NAMES:
-        from . import quantum
-        return getattr(quantum, name)
+    if name in _SUBMODULE:
+        module = importlib.import_module(f".{_SUBMODULE[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -3,9 +3,9 @@
 Subcommands: `audit` (synchronic or temporal coherence audit of a file),
 `demo-reflection` (the worked three-transaction sure loss), `demo-polarization`
 (the bit-sequence betting comparison), `demo-quantum` (two-time measurement
-scenario from a file).  Only `demo-quantum` uses the quantum module, and its
-handler imports it on demand: compiling and loading it would cost every
-other subcommand a few milliseconds of start-up.
+scenario from a file).  Each function imports the modules it calls into
+when it is called, so a subcommand compiles and loads only its own: each
+module loaded costs every invocation a few milliseconds of start-up.
 
 Exit codes are the only verdict channel: 0 for coherent/successful runs,
 2 for detected incoherence, 1 for input errors.  Each handler returns its
@@ -19,26 +19,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
-from .beliefs import Event
-from .diachronic import (
-    StrategyNotAdoptedError,
-    TemporalModel,
-    conditioning_strategy_check,
-    reflection_check,
-)
-from .exchangeable import BitString, pi_fractional_bits, scenario_report
 from .formats import (
     AuditFileError,
     load_audit_file,
     load_quantum_file,
-    matrix_to_pairs,
     render_structured,
 )
-from .synchronic import Portfolio, PriceBook, check_coherence, settle
+
+if TYPE_CHECKING:
+    from .beliefs import Event
+    from .diachronic import TemporalModel
+    from .synchronic import Portfolio, PriceBook
 
 __all__ = ["main"]
 
@@ -133,11 +128,15 @@ def _exact(value: Fraction) -> str:
 
 
 def _losses(portfolio: Portfolio) -> dict[str, str]:
+    from .synchronic import settle
+
     return {label: _exact(settle(portfolio, label))
             for label in portfolio.book.space.atoms}
 
 
 def _synchronic_audit(book: PriceBook) -> tuple[int, dict]:
+    from .synchronic import check_coherence
+
     result = check_coherence(book)
     if result.coherent:
         return OK, {
@@ -196,6 +195,12 @@ def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
 
 def _temporal_audit(model: TemporalModel,
                     declared_q: Fraction | None) -> tuple[int, dict]:
+    from .diachronic import (
+        StrategyNotAdoptedError,
+        conditioning_strategy_check,
+        reflection_check,
+    )
+
     reflection = reflection_check(model)
     strategy = None
     strategy_book = None
@@ -251,6 +256,8 @@ _DEMO_CONDITIONAL = Fraction(7, 10)
 
 
 def _cmd_demo_reflection(args) -> tuple[int, dict]:
+    from .diachronic import TemporalModel
+
     model = TemporalModel.from_conditionals(
         qs=(_DEMO_DECLARED, Fraction(1, 4)),
         masses=(_DEMO_MASS, 1 - _DEMO_MASS),
@@ -262,6 +269,10 @@ def _cmd_demo_reflection(args) -> tuple[int, dict]:
 
 
 def _cmd_demo_polarization(args) -> tuple[int, dict]:
+    from dataclasses import asdict
+
+    from .exchangeable import BitString, pi_fractional_bits, scenario_report
+
     observed = None
     if args.bits:
         try:
@@ -287,6 +298,7 @@ def _cmd_demo_polarization(args) -> tuple[int, dict]:
 
 
 def _cmd_demo_quantum(args) -> tuple[int, dict]:
+    from .formats import matrix_to_pairs
     from .quantum import (
         QuantumError,
         ZeroProbabilityOutcomeError,

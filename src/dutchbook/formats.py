@@ -19,11 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .beliefs import Event, OutcomeSpace, as_fraction
-from .diachronic import TemporalModel
-from .synchronic import Assessment, PriceBook
+
+if TYPE_CHECKING:
+    from .diachronic import TemporalModel
+    from .synchronic import PriceBook
 
 __all__ = [
     "AuditFileError",
@@ -103,6 +105,8 @@ class AuditDocument:
 
 
 def _parse_book(data: dict, field: str) -> PriceBook:
+    from .synchronic import Assessment, PriceBook
+
     atoms = _get(data, "atoms", field)
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         _fail(f"{field}.atoms", "expected a list of atom label strings")
@@ -147,6 +151,8 @@ def _parse_book(data: dict, field: str) -> PriceBook:
 
 
 def _parse_temporal(data: dict, field: str) -> tuple[TemporalModel, Fraction | None]:
+    from .diachronic import TemporalModel
+
     raw_qs = _get(data, "qs", field)
     if not isinstance(raw_qs, list) or not raw_qs:
         _fail(f"{field}.qs", "expected a non-empty list of rationals")

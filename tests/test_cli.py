@@ -583,43 +583,46 @@ def test_structured_runs_render_no_text(capsys, monkeypatch):
         assert json.loads(out)["kind"] in dutchbook.cli._TEXT
 
 
-# ------------------------------------------------------------- lazy numpy
+# ------------------------------------------------------------ lazy modules
 
-# Prints, as the interpreter exits, whether numpy and the quantum module
-# were ever imported.
-_REPORT_NUMPY = ("import atexit, sys\n"
-                 "atexit.register(lambda: print('numpy' in sys.modules, "
-                 "'dutchbook.quantum' in sys.modules, file=sys.stderr))\n")
+# Prints, as the interpreter exits, the `dutchbook` submodules it imported.
+_REPORT_MODULES = ("import atexit, sys\n"
+                   "atexit.register(lambda: print(*sorted("
+                   "m.partition('.')[2] for m in sys.modules "
+                   "if m.startswith('dutchbook.')), file=sys.stderr))\n")
 _RUN_CLI = "import runpy\nrunpy.run_module('dutchbook.cli', run_name='__main__')"
+_AUDIT_MODULES = ["beliefs", "formats", "synchronic", "simplex"]
 
 
-@pytest.mark.parametrize("statement, argv, code, numpy_loaded, quantum_loaded", [
-    ("import dutchbook", [], 0, False, False),
-    ("import dutchbook.cli", [], 0, False, False),
-    (_RUN_CLI, ["audit", str(SAMPLES / "coherent_book.json")], 0, False, False),
+@pytest.mark.parametrize("statement, argv, code, modules", [
+    ("import dutchbook", [], 0, []),
+    ("import dutchbook.cli", [], 0, ["cli", "formats", "beliefs"]),
+    (_RUN_CLI, ["audit", str(SAMPLES / "coherent_book.json")], 0,
+     _AUDIT_MODULES),
     (_RUN_CLI, ["audit", "--temporal",
                 str(SAMPLES / "temporal_reflection_violation.json")], 2,
-     False, False),
-    (_RUN_CLI, ["demo-reflection"], 2, False, False),
-    (_RUN_CLI, ["demo-polarization"], 0, False, False),
-    # The quantum subcommand loads the quantum module, and no numpy.
+     [*_AUDIT_MODULES, "diachronic"]),
+    (_RUN_CLI, ["demo-reflection"], 2, [*_AUDIT_MODULES, "diachronic"]),
+    (_RUN_CLI, ["demo-polarization"], 0,
+     ["beliefs", "formats", "exchangeable"]),
     (_RUN_CLI, ["demo-quantum", str(SAMPLES / "qubit_z_then_x.json")], 0,
-     False, True),
-    # Importing numpy shows the probe sees it.
-    ("import numpy", [], 0, True, False),
+     ["beliefs", "formats", "quantum"]),
+    # Importing a submodule directly shows the probe sees it.
+    ("import dutchbook.quantum", [], 0, ["quantum"]),
 ], ids=["import-package", "import-cli", "audit", "audit-temporal",
         "demo-reflection", "demo-polarization", "demo-quantum",
-        "import-numpy"])
-def test_numpy_loads_only_on_the_quantum_path(statement, argv, code,
-                                              numpy_loaded, quantum_loaded):
-    done = _spawn(sys.executable, "-c", _REPORT_NUMPY + statement, *argv)
+        "import-quantum"])
+def test_each_command_loads_only_the_modules_it_runs(statement, argv, code,
+                                                     modules):
+    done = _spawn(sys.executable, "-c", _REPORT_MODULES + statement, *argv)
     assert done.returncode == code, done.stderr
-    assert done.stderr == f"{numpy_loaded} {quantum_loaded}\n"
+    assert done.stderr.split() == sorted(modules)
 
 
 def test_every_public_name_resolves():
     for name in dutchbook.__all__:
         assert getattr(dutchbook, name) is not None, name
+    assert set(dutchbook.__all__) <= set(dir(dutchbook))
     namespace = {}
     exec("from dutchbook import *", namespace)
     assert set(dutchbook.__all__) <= set(namespace)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutchbook import formats
+from dutchbook import diachronic
 from dutchbook.diachronic import TemporalModel
 from dutchbook.formats import (
     AuditDocument,
@@ -224,7 +224,7 @@ def _parsed_temporal_joint(monkeypatch, data):
             inputs.append((qs, dict(joint)))
             super().__init__(qs, joint)
 
-    monkeypatch.setattr(formats, "TemporalModel", Recording)
+    monkeypatch.setattr(diachronic, "TemporalModel", Recording)
     parse_audit_document(data)
     (qs, joint), = inputs
     return labelled_joint(qs, joint)

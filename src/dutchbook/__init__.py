@@ -10,8 +10,9 @@ uniform-prior predictive, and reading a "decohered" predictive state off
 the reflection principle.
 
 The public names are the ones the `dutchbook` command and its benchmark
-use.  A witness or a joint is read as its pmf over the atoms; event
-probabilities and Boolean event algebra are left to callers.
+use.  A witness is a pmf over the atoms, and a temporal joint is read as
+its value-cell sums; event probabilities and Boolean event algebra are
+left to callers.
 
 The package needs only the standard library.  Every public name is
 resolved from its submodule on first access (PEP 562), so `import
@@ -25,8 +26,7 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it, imported on first access.
 _SUBMODULE = {
-    **dict.fromkeys(("OutcomeSpace", "Event", "BeliefState", "as_fraction"),
-                    "beliefs"),
+    **dict.fromkeys(("OutcomeSpace", "Event", "as_fraction"), "beliefs"),
     **dict.fromkeys(("Assessment", "PriceBook", "Portfolio", "PortfolioLeg",
                      "CoherenceResult", "check_coherence", "settle"),
                     "synchronic"),

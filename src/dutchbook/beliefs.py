@@ -1,13 +1,15 @@
-"""Finite outcome spaces, events, and exact belief states.
+"""Finite outcome spaces, events, and exact parsing and pmf checks.
 
 Everything here is exact: probabilities and payoffs are `fractions.Fraction`
 values, so audit verdicts built on top of this module are tolerance-free.
 All types are immutable after construction and safe to share across threads.
 
-One check validates every exact pmf, a `BeliefState`'s and a temporal
-model's joint alike: it scales the masses to integer numerators over the
-lcm of their denominators, and refuses a negative numerator or a sum other
-than that lcm.
+A belief state is an exact pmf: one `Fraction` mass per atom, in the
+space's atom order.  A coherence witness is the solver's point, checked
+by the solver.  A temporal model's joint is checked here, by one exact-pmf
+check: it scales the masses to integer numerators over the lcm of their
+denominators, and refuses a negative numerator or a sum other than that
+lcm.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "as_fraction",
     "OutcomeSpace",
     "Event",
-    "BeliefState",
 ]
 
 #: Audit problems are desk scale; spaces beyond this are rejected.
@@ -141,18 +142,3 @@ class Event:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.space.atoms[i] for i in sorted(self.members))
-
-
-@dataclass(frozen=True)
-class BeliefState:
-    """An exact probability mass function over a finite outcome space."""
-
-    space: OutcomeSpace
-    pmf: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        pmf = tuple(as_fraction(p) for p in self.pmf)
-        if len(pmf) != self.space.size:
-            raise ValueError("pmf must assign mass to every atom")
-        _scaled_pmf(pmf)
-        object.__setattr__(self, "pmf", pmf)

@@ -130,8 +130,8 @@ def _exact(value: Fraction) -> str:
 def _losses(portfolio: Portfolio) -> dict[str, str]:
     from .synchronic import settle
 
-    return {label: _exact(settle(portfolio, label))
-            for label in portfolio.book.space.atoms}
+    return {label: _exact(settle(portfolio, atom))
+            for atom, label in enumerate(portfolio.book.space.atoms)}
 
 
 def _synchronic_audit(book: PriceBook) -> tuple[int, dict]:
@@ -143,7 +143,7 @@ def _synchronic_audit(book: PriceBook) -> tuple[int, dict]:
             "kind": "synchronic-audit",
             "verdict": "coherent",
             "witness": {label: _exact(mass) for label, mass
-                        in zip(book.space.atoms, result.witness.pmf)},
+                        in zip(book.space.atoms, result.witness)},
             "portfolio": None,
             "losses": None,
         }
@@ -178,7 +178,7 @@ def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
         a = portfolio.book.assessments[leg.assessment]
         event, stake = _branch_name(a.event), _exact(leg.quantity)
         price = _exact(leg.quantity * a.price)
-        cond = _branch_name(a.condition) if a.is_conditional else None
+        cond = _branch_name(a.condition) if a.condition is not None else None
         # A t_tau trade only happens once its condition is true, so its
         # ticket is shown plain and the condition becomes the trigger.
         trigger = f"if-{cond}-true" if leg.time == "t_tau" else "always"

@@ -19,7 +19,7 @@ Negative realized amounts are agent losses.
 
 Both constraints are statements about value-cell sums, so a model stores
 nothing else.  It validates its joint in ints, by the exact-pmf check
-`beliefs.BeliefState` uses, and keeps every value cell's mass, E-mass,
+`beliefs._scaled_pmf`, and keeps every value cell's mass, E-mass,
 D-mass and (E and D)-mass as numerators over the masses' common
 denominator.  The audits read those sums; each conditional they report is
 one `Fraction` of two stored integers, so an audit adds no fractions.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .beliefs import BeliefState, Event, OutcomeSpace, as_fraction
+from .beliefs import Event, OutcomeSpace, as_fraction
 from .simplex import solve_equality_feasibility
 
 __all__ = [
@@ -52,10 +52,6 @@ class Assessment:
             raise ValueError(f"price must lie in [0, 1], got {self.price}")
         if self.condition is not None and self.condition.space != self.event.space:
             raise ValueError("event and condition must share an outcome space")
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.condition is not None
 
     def net_buy_payoff(self, atom: int) -> Fraction:
         """Settlement cash to a buyer of one ticket, price already paid."""
@@ -117,15 +113,15 @@ class Portfolio:
             if not 0 <= leg.assessment < len(assessments):
                 raise ValueError("leg refers to an assessment outside the book")
             # Settlement reads "no trade" off the condition of a t_tau leg.
-            if leg.time == "t_tau" and not assessments[leg.assessment].is_conditional:
+            if leg.time == "t_tau" and assessments[leg.assessment].condition is None:
                 raise ValueError("a t_tau leg must trade a called-off ticket")
 
 
 @dataclass(frozen=True)
 class CoherenceResult:
-    """A witness measure for a coherent book, or a sure-loss portfolio."""
+    """A witness pmf for a coherent book, or a sure-loss portfolio."""
 
-    witness: BeliefState | None
+    witness: tuple[Fraction, ...] | None  # the mass of each atom, in atom order
     portfolio: Portfolio | None
 
     @property
@@ -136,9 +132,9 @@ class CoherenceResult:
 def check_coherence(book: PriceBook) -> CoherenceResult:
     """Decide whether some probability measure reproduces every price.
 
-    Coherent books come back with a witness belief state satisfying each
-    price constraint exactly; incoherent books come back with a sure-loss
-    portfolio built from the Farkas certificate of the infeasible system.
+    Coherent books come back with the solver's checked point as a witness
+    pmf; incoherent books come back with a sure-loss portfolio built from
+    the Farkas certificate of the infeasible system.
     """
     if not book.assessments:
         raise ValueError("cannot audit an empty book")
@@ -150,7 +146,7 @@ def check_coherence(book: PriceBook) -> CoherenceResult:
         rhs.append(_ZERO)
     result = solve_equality_feasibility(rows, rhs)
     if result.feasible:
-        return CoherenceResult(BeliefState(book.space, result.solution), None)
+        return CoherenceResult(result.solution, None)
     # The first multiplier is the total-mass-one row's; the rest price the
     # assessments, one each.
     return CoherenceResult(None, _dutch_book(book, result.certificate[1:]))
@@ -159,25 +155,23 @@ def check_coherence(book: PriceBook) -> CoherenceResult:
 def _dutch_book(book: PriceBook, quantities: tuple[Fraction, ...]) -> Portfolio:
     """Turn a certificate's price multipliers into a sure-loss portfolio.
 
-    The returned legs follow the multipliers' sign pattern (positive:
-    buy, negative: sell) and are scaled so the largest per-atom loss is
-    exactly $1; every atom settles strictly negative for the agent.
+    The legs follow the multipliers' sign pattern (positive: buy,
+    negative: sell).  `settle` nets them at unit scale, and they are then
+    scaled so the largest per-atom loss is exactly $1; every atom settles
+    strictly negative for the agent.
     """
-    nets = [
-        sum((q * a.net_buy_payoff(atom) for q, a in zip(quantities, book.assessments)),
-            _ZERO)
-        for atom in range(book.space.size)
-    ]
-    worst = min(nets)
+    unit = Portfolio(book, tuple(
+        PortfolioLeg(i, "buy" if q > 0 else "sell", abs(q))
+        for i, q in enumerate(quantities) if q))
+    nets = [settle(unit, atom) for atom in range(book.space.size)]
+    # A checked certificate nets at most -y0 < 0 on every atom, so this
+    # fails only on a bug.
     if max(nets) >= 0:
-        raise ValueError("certificate does not yield a sure loss on this book")
-    scale = _ONE / -worst
-    legs = [
-        PortfolioLeg(i, "buy" if q > 0 else "sell", abs(q) * scale)
-        for i, q in enumerate(quantities)
-        if q != 0
-    ]
-    return Portfolio(book, tuple(legs))
+        raise RuntimeError("certificate does not yield a sure loss on this book")
+    scale = _ONE / -min(nets)
+    return Portfolio(book, tuple(
+        PortfolioLeg(leg.assessment, leg.direction, leg.quantity * scale)
+        for leg in unit.legs))
 
 
 def settle(portfolio: Portfolio, atom: int | str) -> Fraction:
@@ -196,7 +190,9 @@ def settle(portfolio: Portfolio, atom: int | str) -> Fraction:
         raise ValueError(f"atom index {atom} out of range")
     total = _ZERO
     for leg in portfolio.legs:
-        net = book.assessments[leg.assessment].net_buy_payoff(atom)
-        signed = net if leg.direction == "buy" else -net
-        total += leg.quantity * signed
+        cash = leg.quantity * book.assessments[leg.assessment].net_buy_payoff(atom)
+        if leg.direction == "buy":
+            total += cash
+        else:
+            total -= cash
     return total

@@ -1,5 +1,5 @@
-"""Exact probabilities of atom-index sets, summed from a belief state's pmf,
-and labelled temporal joints to sum them over.
+"""Exact probabilities of atom-index sets, summed from a pmf tuple, and
+temporal joints laid out as pmfs to sum them over.
 
 The library reports no event probabilities: its audits read integer sums.
 The tests check witnesses, joints and reference audits against these plain
@@ -9,27 +9,27 @@ The tests check witnesses, joints and reference audits against these plain
 from dataclasses import dataclass
 from fractions import Fraction
 
-from dutchbook.beliefs import BeliefState, OutcomeSpace, as_fraction
+from dutchbook.beliefs import as_fraction
 
 
-def prob(state, atoms) -> Fraction:
+def prob(pmf, atoms) -> Fraction:
     """The total mass of the atoms with these indices."""
-    return sum((state.pmf[i] for i in atoms), Fraction(0))
+    return sum((pmf[i] for i in atoms), Fraction(0))
 
 
-def cond_prob(state, e, d) -> Fraction:
+def cond_prob(pmf, e, d) -> Fraction:
     """prob(e and d) / prob(d) for atom-index sets; d needs positive mass."""
-    return prob(state, set(e) & set(d)) / prob(state, d)
+    return prob(pmf, set(e) & set(d)) / prob(pmf, d)
 
 
 @dataclass(frozen=True)
 class LabelledJoint:
-    """A temporal joint as a `BeliefState` over atoms labelled
-    "q=<value>,<E or ~E>[,<D or ~D>]", and the atom-index sets of each
-    value cell, of E and of D (None when the joint has no d column)."""
+    """A temporal joint as a pmf over atoms ordered (value cell, E or ~E[,
+    D or ~D]), and the atom-index sets of each value cell, of E and of D
+    (None when the joint has no d column)."""
 
     qs: tuple[Fraction, ...]
-    state: BeliefState
+    pmf: tuple[Fraction, ...]
     cells: tuple[frozenset[int], ...]
     e: frozenset[int]
     d: frozenset[int] | None
@@ -40,23 +40,21 @@ def labelled_joint(qs, joint) -> LabelledJoint:
     inputs alone: keys are (i, e) or (i, e, d), and absent keys get no mass."""
     qs = tuple(as_fraction(q) for q in qs)
     base = len(next(iter(joint))) == 3
-    labels, pmf, cells, e_atoms, d_atoms = [], [], [], set(), set()
-    for i, q in enumerate(qs):
+    pmf, cells, e_atoms, d_atoms = [], [], set(), set()
+    for i in range(len(qs)):
         cell = set()
         for e in (True, False):
             for d in ((True, False) if base else (None,)):
-                atom = len(labels)
+                atom = len(pmf)
                 cell.add(atom)
                 if e:
                     e_atoms.add(atom)
                 if d:
                     d_atoms.add(atom)
-                labels.append(f"q={q}," + ("E" if e else "~E")
-                              + ("" if d is None else ",D" if d else ",~D"))
-                pmf.append(joint.get((i, e) if d is None else (i, e, d), 0))
+                pmf.append(as_fraction(
+                    joint.get((i, e) if d is None else (i, e, d), 0)))
         cells.append(frozenset(cell))
-    return LabelledJoint(qs, BeliefState(OutcomeSpace(labels), tuple(pmf)),
-                         tuple(cells), frozenset(e_atoms),
+    return LabelledJoint(qs, tuple(pmf), tuple(cells), frozenset(e_atoms),
                          frozenset(d_atoms) if base else None)
 
 

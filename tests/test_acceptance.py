@@ -15,7 +15,7 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 
-from dutchbook.beliefs import BeliefState, OutcomeSpace
+from dutchbook.beliefs import OutcomeSpace
 from dutchbook.cli import main
 from dutchbook.diachronic import TemporalModel, reflection_check
 from dutchbook.exchangeable import BitString, pi_fractional_bits, predictive_next
@@ -123,7 +123,7 @@ def test_criterion_03(capsys, seed):
             averaged = sum(model.value_mass(i) * q
                            for i, q in enumerate(model.qs))
             ref = labelled_conditionals(qs=qs, masses=masses, e_given_q=qs)
-            assert averaged == prob(ref.state, ref.e)
+            assert averaged == prob(ref.pmf, ref.e)
         assert time.perf_counter() - start < 5.0
 
 
@@ -148,8 +148,7 @@ def _random_book(rnd):
     weights = [rnd.randint(0, 5) for _ in range(size)]
     if not any(weights):
         weights[0] = 1
-    measure = BeliefState(
-        space, tuple(F(w, sum(weights)) for w in weights))
+    measure = tuple(F(w, sum(weights)) for w in weights)
     assessments = []
     for _ in range(rnd.randint(1, 10)):
         event = rand_event()

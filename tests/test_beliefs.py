@@ -1,4 +1,4 @@
-"""Exact substrate: spaces, events, belief states."""
+"""Exact substrate: spaces, events, exact parsing and the pmf check."""
 
 import math
 from fractions import Fraction as F
@@ -11,7 +11,6 @@ from dutchbook.beliefs import (
     MAX_ATOMS,
     MAX_EXACT_CHARS,
     MAX_EXPONENT,
-    BeliefState,
     Event,
     OutcomeSpace,
     _scaled_pmf,
@@ -81,35 +80,32 @@ def test_event_algebra_and_labels():
 
 def test_prob_examples():
     space = OutcomeSpace(["a", "b", "c", "d"])
-    b = BeliefState(space, (F(1, 4),) * 4)
+    b = (F(1, 4),) * 4
     assert prob(b, space.event(["a", "b"]).members) == F(1, 2)
     assert prob(b, space.event([]).members) == 0
     assert prob(b, space.event(space.atoms).members) == 1
 
     s3 = OutcomeSpace(["x", "y", "z"])
-    b3 = BeliefState(s3, ("1/6", "1/3", "1/2"))
+    b3 = (F(1, 6), F(1, 3), F(1, 2))
     assert prob(b3, s3.event(["y", "z"]).members) == F(5, 6)
 
 
 def test_cond_prob_examples():
-    space = OutcomeSpace(["a", "b", "c", "d"])
-    b = BeliefState(space, (F(1, 4),) * 4)
+    b = (F(1, 4),) * 4
     assert cond_prob(b, {0}, {0, 1}) == F(1, 2)
     assert cond_prob(b, {0, 2}, {0, 2}) == 1
 
-    b2 = BeliefState(space, (F(1, 10), F(2, 10), F(3, 10), F(4, 10)))
+    b2 = (F(1, 10), F(2, 10), F(3, 10), F(4, 10))
     assert cond_prob(b2, {0, 2}, {0, 1, 2}) == F(2, 3)
 
 
 def test_belief_state_validation():
-    space = OutcomeSpace(["a", "b"])
-    with pytest.raises(ValueError):
-        BeliefState(space, (F(1, 2),))
-    with pytest.raises(ValueError):
-        BeliefState(space, (F(3, 2), F(-1, 2)))
-    with pytest.raises(ValueError):
-        BeliefState(space, (F(1, 2), F(1, 3)))
-    assert BeliefState(space, ("1/3", "2/3")).pmf == (F(1, 3), F(2, 3))
+    with pytest.raises(ValueError, match="^pmf masses must be nonnegative$"):
+        _scaled_pmf((F(3, 2), F(-1, 2)))
+    with pytest.raises(ValueError,
+                       match="^pmf masses must sum to exactly 1, got 5/6$"):
+        _scaled_pmf((F(1, 2), F(1, 3)))
+    assert _scaled_pmf((F(1, 3), F(2, 3))) == (3, [1, 2])
 
 
 _masses = st.lists(st.integers(min_value=0, max_value=8), min_size=2,
@@ -117,39 +113,39 @@ _masses = st.lists(st.integers(min_value=0, max_value=8), min_size=2,
 
 
 def _state(weights):
+    """A space of one atom per weight, and the pmf proportional to them."""
     space = OutcomeSpace([f"w{i}" for i in range(len(weights))])
     total = sum(weights)
-    return BeliefState(space, tuple(F(w, total) for w in weights))
+    return space, tuple(F(w, total) for w in weights)
 
 
 @settings(max_examples=150)
 @given(_masses, st.data())
 def test_inclusion_exclusion(weights, data):
-    b = _state(weights)
-    n = b.space.size
-    pick = st.frozensets(st.integers(min_value=0, max_value=n - 1))
-    e = Event(b.space, data.draw(pick)).members
-    d = Event(b.space, data.draw(pick)).members
+    space, b = _state(weights)
+    pick = st.frozensets(st.integers(min_value=0, max_value=space.size - 1))
+    e = Event(space, data.draw(pick)).members
+    d = Event(space, data.draw(pick)).members
     assert prob(b, e | d) + prob(b, e & d) == prob(b, e) + prob(b, d)
 
 
 @settings(max_examples=150)
 @given(_masses, st.data())
 def test_product_rule_identity(weights, data):
-    b = _state(weights)
-    n = b.space.size
-    pick = st.frozensets(st.integers(min_value=0, max_value=n - 1))
-    e = Event(b.space, data.draw(pick)).members
-    d = Event(b.space, data.draw(pick)).members
+    space, b = _state(weights)
+    pick = st.frozensets(st.integers(min_value=0, max_value=space.size - 1))
+    e = Event(space, data.draw(pick)).members
+    d = Event(space, data.draw(pick)).members
     if prob(b, d) > 0:
         assert cond_prob(b, e, d) * prob(b, d) == prob(b, e & d)
 
 
 # ------------------------------------------- reference (Fraction-sum) checks
 #
-# `BeliefState` validates and sums its pmf as ints over one common
-# denominator.  The reference below is the plain Fraction-sum version: the
-# same checks in the same order, with the same messages.
+# `_scaled_pmf`, the exact-pmf check a temporal model runs on its joint,
+# validates and sums a pmf as ints over one common denominator.  The
+# reference below is the plain Fraction-sum version: the same checks in the
+# same order, with the same messages.
 
 def _reference_validation_error(pmf):
     pmf = tuple(as_fraction(p) for p in pmf)
@@ -181,15 +177,12 @@ def _pmfs(draw):
 @settings(max_examples=300)
 @given(_pmfs())
 def test_belief_state_matches_fraction_sum_reference(pmf):
-    space = OutcomeSpace([f"w{i}" for i in range(len(pmf))])
     want = _reference_validation_error(pmf)
     if want is not None:
         with pytest.raises(ValueError) as info:
-            BeliefState(space, tuple(pmf))
+            _scaled_pmf(tuple(pmf))
         assert str(info.value) == want
         return
-    b = BeliefState(space, tuple(str(p) for p in pmf))
-    assert b.pmf == tuple(pmf)
-    scale, numerators = _scaled_pmf(b.pmf)
+    scale, numerators = _scaled_pmf(tuple(pmf))
     assert scale == math.lcm(*(p.denominator for p in pmf))
     assert numerators == [p * scale for p in pmf]

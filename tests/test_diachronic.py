@@ -43,7 +43,7 @@ def _goldstein_sides(m, ref):
     values, sum of mass * q over the model's value cells, and P0(E) summed
     over the reference joint."""
     averaged = sum((m.value_mass(i) * q for i, q in enumerate(m.qs)), F(0))
-    return averaged, prob(ref.state, ref.e)
+    return averaged, prob(ref.pmf, ref.e)
 
 
 def _all_branches(portfolio):
@@ -275,7 +275,7 @@ def test_bijection_case_reflection_and_conditioning_agree():
     outcome = conditioning_strategy_check(m)
     assert outcome.portfolio is None
     ref = labelled_joint(qs, joint)
-    assert outcome.forced_q == cond_prob(ref.state, ref.e, ref.d)
+    assert outcome.forced_q == cond_prob(ref.pmf, ref.e, ref.d)
 
 
 _q = st.fractions(min_value=0, max_value=1, max_denominator=12)
@@ -332,10 +332,10 @@ def _reference_reflection_check(ref):
     violations = []
     book = None
     for q, cell in zip(ref.qs, ref.cells):
-        mass = prob(ref.state, cell)
+        mass = prob(ref.pmf, cell)
         if mass == 0:
             continue
-        cond = cond_prob(ref.state, ref.e, cell)
+        cond = cond_prob(ref.pmf, ref.e, cell)
         if cond != q:
             violations.append(Violation(q, cond, cond - q))
             if book is None:
@@ -346,12 +346,12 @@ def _reference_reflection_check(ref):
 def _reference_conditioning_strategy_check(ref, declared_q=None):
     if ref.d is None:
         raise StrategyNotAdoptedError("model carries no base event to learn")
-    d_mass = prob(ref.state, ref.d)
+    d_mass = prob(ref.pmf, ref.d)
     if d_mass == 0:
         raise StrategyNotAdoptedError("base event has probability zero")
     certain = [
         i for i, cell in enumerate(ref.cells)
-        if cond_prob(ref.state, cell, ref.d) == 1
+        if cond_prob(ref.pmf, cell, ref.d) == 1
     ]
     if len(certain) != 1:
         raise StrategyNotAdoptedError(
@@ -362,7 +362,7 @@ def _reference_conditioning_strategy_check(ref, declared_q=None):
         raise StrategyNotAdoptedError(
             f"declared value {declared_q} differs from the encoded value {adopted}"
         )
-    forced = cond_prob(ref.state, ref.e, ref.d)
+    forced = cond_prob(ref.pmf, ref.e, ref.d)
     if forced == adopted:
         return ConditioningResult(forced, adopted, None)
     book = _three_leg_book(d_mass, forced, adopted, "D")

@@ -240,7 +240,7 @@ def test_temporal_row_values_match_qs_by_value(monkeypatch):
     assert m.qs == (F(1, 2), F(1, 4))
     assert (m.value_mass(0), m.value_mass(1)) == (F(1, 2), F(1, 2))
     ref = _parsed_temporal_joint(monkeypatch, data)
-    assert ref.state.pmf == (F(1, 4), F(1, 4), F(1, 8), F(3, 8))
+    assert ref.pmf == (F(1, 4), F(1, 4), F(1, 8), F(3, 8))
 
     same_cell = [{"q": "1/2", "e": True, "mass": "1/2"},
                  {"q": "0.5", "e": True, "mass": "1/2"}]
@@ -264,7 +264,7 @@ def test_temporal_row_q_in_any_spelling_is_checked(monkeypatch, qs, q, error):
     data = {"temporal": {"qs": qs, "joint": rows}}
     if error is None:
         ref = _parsed_temporal_joint(monkeypatch, data)
-        assert ref.state.pmf == (F(1, 2),) * 2
+        assert ref.pmf == (F(1, 2),) * 2
         return
     with pytest.raises(AuditFileError) as exc:
         parse_audit_document(data)

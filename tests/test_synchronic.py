@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutchbook.beliefs import BeliefState, Event, OutcomeSpace
+from dutchbook import synchronic
+from dutchbook.beliefs import Event, OutcomeSpace
+from dutchbook.simplex import solve_equality_feasibility
 from dutchbook.synchronic import (
     Assessment,
     Portfolio,
@@ -37,15 +39,26 @@ def _verify_sure_loss(book, portfolio):
     assert portfolio.book == book
     amounts = [settle(portfolio, atom) for atom in range(book.space.size)]
     assert max(amounts) < 0
+    assert min(amounts) == -1  # scaled so the worst atom loses exactly $1
     return amounts
 
 
-def test_consistent_book_is_coherent_with_exact_witness():
+def test_consistent_book_is_coherent_with_exact_witness(monkeypatch):
+    # The book of samples/coherent_book.json.  The solver checks its point
+    # against every row before returning it; the audit hands it on as is.
     space = OutcomeSpace(["a", "b", "c", "d"])
     book = _book(space, (["a", "b"], "3/5"), (["a", "b", "c", "d"], 1))
+    solved = []
+
+    def recording(rows, rhs):
+        solved.append(solve_equality_feasibility(rows, rhs))
+        return solved[-1]
+
+    monkeypatch.setattr(synchronic, "solve_equality_feasibility", recording)
     result = check_coherence(book)
     assert result.coherent
     w = result.witness
+    assert w == solved[0].solution and len(w) == space.size
     for a in book.assessments:
         assert prob(w, a.event.members) == a.price
 
@@ -183,15 +196,15 @@ def test_books_priced_by_a_measure_are_coherent(data):
     n = len(weights)
     space = OutcomeSpace([f"w{i}" for i in range(n)])
     total = sum(weights)
-    state = BeliefState(space, tuple(F(w, total) for w in weights))
+    pmf = tuple(F(w, total) for w in weights)
     subsets = st.frozensets(st.integers(min_value=0, max_value=n - 1))
     assessments = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
         event = Event(space, data.draw(subsets))
         cond = Event(space, data.draw(subsets))
-        if prob(state, cond.members) > 0:
-            price = cond_prob(state, event.members, cond.members)
+        if prob(pmf, cond.members) > 0:
+            price = cond_prob(pmf, event.members, cond.members)
             assessments.append(Assessment(event, price, cond))
         else:
-            assessments.append(Assessment(event, prob(state, event.members)))
+            assessments.append(Assessment(event, prob(pmf, event.members)))
     assert check_coherence(PriceBook(space, tuple(assessments))).coherent

@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it, imported on first access.
 _SUBMODULE = {
-    **dict.fromkeys(("OutcomeSpace", "Event", "as_fraction"), "beliefs"),
+    **dict.fromkeys(("OutcomeSpace", "as_fraction"), "beliefs"),
     **dict.fromkeys(("Assessment", "PriceBook", "Portfolio", "PortfolioLeg",
                      "CoherenceResult", "check_coherence", "settle"),
                     "synchronic"),

@@ -1,4 +1,5 @@
-"""Finite outcome spaces, events, and exact parsing and pmf checks.
+"""Finite outcome spaces, events as frozensets of atom indices, and exact
+parsing and pmf checks.
 
 Everything here is exact: probabilities and payoffs are `fractions.Fraction`
 values, so audit verdicts built on top of this module are tolerance-free.
@@ -27,7 +28,6 @@ __all__ = [
     "Rational",
     "as_fraction",
     "OutcomeSpace",
-    "Event",
 ]
 
 #: Audit problems are desk scale; spaces beyond this are rejected.
@@ -113,32 +113,10 @@ class OutcomeSpace:
         except KeyError:
             raise ValueError(f"unknown atom label {label!r}") from None
 
-    def event(self, labels: Iterable[str]) -> Event:
-        """Event containing the named atoms."""
-        return Event(self, frozenset(self.index(lab) for lab in labels))
+    def event(self, labels: Iterable[str]) -> frozenset[int]:
+        """The indices of the named atoms."""
+        return frozenset(self.index(lab) for lab in labels)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, OutcomeSpace) and self.atoms == other.atoms
-
-    def __hash__(self) -> int:
-        return hash(self.atoms)
-
-
-@dataclass(frozen=True)
-class Event:
-    """A subset of a space's atoms."""
-
-    space: OutcomeSpace
-    members: frozenset[int]
-
-    def __post_init__(self):
-        members = frozenset(self.members)
-        if members and (min(members) < 0 or max(members) >= self.space.size):
-            raise ValueError("event members out of range for its space")
-        object.__setattr__(self, "members", members)
-
-    def __contains__(self, atom: int) -> bool:
-        return atom in self.members
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.space.atoms[i] for i in sorted(self.members))
+    def labels(self, event: frozenset[int]) -> tuple[str, ...]:
+        """The labels of `event`'s atoms, in atom order."""
+        return tuple(self.atoms[i] for i in sorted(event))

@@ -31,9 +31,9 @@ from .formats import (
 )
 
 if TYPE_CHECKING:
-    from .beliefs import Event
+    from .beliefs import OutcomeSpace
     from .diachronic import TemporalModel
-    from .synchronic import Portfolio, PriceBook
+    from .synchronic import Assessment, Portfolio, PriceBook
 
 __all__ = ["main"]
 
@@ -151,9 +151,9 @@ def _synchronic_audit(book: PriceBook) -> tuple[int, dict]:
     legs = [
         {
             "assessment": leg.assessment,
-            "description": book.assessments[leg.assessment].describe(),
-            "direction": leg.direction,
-            "quantity": _exact(leg.quantity),
+            "description": _describe(book.space, book.assessments[leg.assessment]),
+            "direction": "buy" if leg.quantity > 0 else "sell",
+            "quantity": _exact(abs(leg.quantity)),
         }
         for leg in portfolio.legs
     ]
@@ -166,19 +166,28 @@ def _synchronic_audit(book: PriceBook) -> tuple[int, dict]:
     }
 
 
-def _branch_name(event: Event) -> str:
+def _describe(space: OutcomeSpace, a: Assessment) -> str:
+    ev = "{" + ",".join(space.labels(a.event)) + "}"
+    if a.condition is None:
+        return f"P({ev}) = {a.price}"
+    cond = "{" + ",".join(space.labels(a.condition)) + "}"
+    return f"P({ev} | {cond}) = {a.price}"
+
+
+def _branch_name(space: OutcomeSpace, event: frozenset[int]) -> str:
     # On a branch space ("Q&E", "Q&~E", ...) an event is named by the
     # conjunct all of its atoms share: {Q&E, ~Q&E} is "E".
-    return set.intersection(*(set(a.split("&")) for a in event.labels())).pop()
+    return set.intersection(*(set(a.split("&")) for a in space.labels(event))).pop()
 
 
 def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
     rows = []
+    space = portfolio.book.space
     for leg in portfolio.legs:
         a = portfolio.book.assessments[leg.assessment]
-        event, stake = _branch_name(a.event), _exact(leg.quantity)
-        price = _exact(leg.quantity * a.price)
-        cond = _branch_name(a.condition) if a.condition is not None else None
+        event, stake = _branch_name(space, a.event), _exact(abs(leg.quantity))
+        price = _exact(abs(leg.quantity) * a.price)
+        cond = _branch_name(space, a.condition) if a.condition is not None else None
         # A t_tau trade only happens once its condition is true, so its
         # ticket is shown plain and the condition becomes the trigger.
         trigger = f"if-{cond}-true" if leg.time == "t_tau" else "always"
@@ -188,8 +197,8 @@ def _portfolio_rows(portfolio: Portfolio) -> list[dict]:
             ticket = (f"pays ${stake} if {cond} and {event}, "
                       f"refunds ${price} if not {cond}")
         rows.append({"time": leg.time, "trigger": trigger,
-                     "direction": leg.direction, "ticket": ticket,
-                     "price": price})
+                     "direction": "buy" if leg.quantity > 0 else "sell",
+                     "ticket": ticket, "price": price})
     return rows
 
 

@@ -191,8 +191,8 @@ def _three_leg_book(
     and ``~label&~E``.  `cond_value` is the t=0 conditional of E given the
     cell, `declared` the price the agent is sure to trade at t=tau once the
     cell is true.  For a positive gap: buy the called-off ticket, buy the
-    side bet, sell at t=tau; a negative gap mirrors the outer legs and
-    keeps the side bet.
+    side bet, sell at t=tau; a negative gap flips the signs of the outer
+    legs' quantities and keeps the side bet.
     """
     space = OutcomeSpace([f"{c}{label}&{e}E" for c in ("", "~") for e in ("", "~")])
     cond = space.event([f"{label}&E", f"{label}&~E"])
@@ -203,11 +203,11 @@ def _three_leg_book(
         Assessment(e, declared, cond),
     ))
     gap = cond_value - declared
-    outer, inner = ("buy", "sell") if gap > 0 else ("sell", "buy")
+    outer = _ONE if gap > 0 else -_ONE
     return Portfolio(book, (
-        PortfolioLeg(0, outer, _ONE),
-        PortfolioLeg(1, "buy", abs(gap) * _HALF),
-        PortfolioLeg(2, inner, _ONE, "t_tau"),
+        PortfolioLeg(0, outer),
+        PortfolioLeg(1, abs(gap) * _HALF),
+        PortfolioLeg(2, -outer, "t_tau"),
     ))
 
 

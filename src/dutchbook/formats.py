@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .beliefs import Event, OutcomeSpace, as_fraction
+from .beliefs import OutcomeSpace, as_fraction
 
 if TYPE_CHECKING:
     from .diachronic import TemporalModel
@@ -63,14 +63,14 @@ def _as_frac(value: Any, field: str) -> Fraction:
         raise AuditFileError(f"{field}: {exc}") from None
 
 
-def _event_from_labels(labels: list, space: OutcomeSpace, field: str) -> Event:
+def _event_from_labels(labels: list, space: OutcomeSpace, field: str) -> frozenset[int]:
     if not all(isinstance(a, str) for a in labels):
         _fail(field, "expected a list of atom label strings")
     try:
         event = space.event(labels)
     except (KeyError, ValueError) as exc:
         raise AuditFileError(f"{field}: {exc}") from None
-    if len(event.members) != len(labels):  # a label is listed twice
+    if len(event) != len(labels):  # a label is listed twice
         seen = set()
         for label in labels:
             if label in seen:
@@ -80,7 +80,7 @@ def _event_from_labels(labels: list, space: OutcomeSpace, field: str) -> Event:
 
 
 def _resolve_event(ref: Any, space: OutcomeSpace,
-                   named: dict[str, Event], field: str) -> Event:
+                   named: dict[str, frozenset[int]], field: str) -> frozenset[int]:
     if isinstance(ref, str):
         if ref not in named:
             _fail(field, f"unknown event name {ref!r}")
@@ -118,7 +118,7 @@ def _parse_book(data: dict, field: str) -> PriceBook:
     events = data.get("events", {})
     if not isinstance(events, dict):
         _fail(f"{field}.events", "expected an object of named atom-label lists")
-    named: dict[str, Event] = {}
+    named: dict[str, frozenset[int]] = {}
     for name, labels in events.items():
         if not isinstance(labels, list):
             _fail(f"{field}.events.{name}", "expected a list of atom labels")
@@ -275,7 +275,7 @@ class QuantumScenario:
 
 
 def parse_quantum_scenario(data: Any) -> QuantumScenario:
-    from .quantum import DensityOperator, Instrument, Povm
+    from .quantum import DensityOperator, Instrument, Povm, QuantumError
 
     if not isinstance(data, dict):
         _fail("scenario", "top level must be a JSON object")
@@ -304,7 +304,7 @@ def parse_quantum_scenario(data: Any) -> QuantumScenario:
         ))
     try:
         instrument = Instrument(tuple(outcomes))
-    except Exception as exc:
+    except (ValueError, QuantumError) as exc:
         raise AuditFileError(f"scenario.instrument: {exc}") from None
 
     raw_povm = _get(data, "povm", "scenario")
@@ -316,7 +316,7 @@ def parse_quantum_scenario(data: Any) -> QuantumScenario:
     )
     try:
         povm = Povm(effects)
-    except Exception as exc:
+    except (ValueError, QuantumError) as exc:
         raise AuditFileError(f"scenario.povm: {exc}") from None
     return QuantumScenario(rho0, instrument, povm)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .beliefs import Event, OutcomeSpace, as_fraction
+from .beliefs import OutcomeSpace, as_fraction
 from .simplex import solve_equality_feasibility
 
 __all__ = [
@@ -42,16 +42,14 @@ _ONE = Fraction(1)
 class Assessment:
     """One announced fair price: unconditional, or called off on a condition."""
 
-    event: Event
+    event: frozenset[int]  # atom indices on the space of the book holding it
     price: Fraction
-    condition: Event | None = None
+    condition: frozenset[int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "price", as_fraction(self.price))
         if not 0 <= self.price <= 1:
             raise ValueError(f"price must lie in [0, 1], got {self.price}")
-        if self.condition is not None and self.condition.space != self.event.space:
-            raise ValueError("event and condition must share an outcome space")
 
     def net_buy_payoff(self, atom: int) -> Fraction:
         """Settlement cash to a buyer of one ticket, price already paid."""
@@ -59,13 +57,6 @@ class Assessment:
             return _ZERO  # refund cancels the price
         won = atom in self.event
         return (_ONE if won else _ZERO) - self.price
-
-    def describe(self) -> str:
-        ev = "{" + ",".join(self.event.labels()) + "}"
-        if self.condition is None:
-            return f"P({ev}) = {self.price}"
-        cond = "{" + ",".join(self.condition.labels()) + "}"
-        return f"P({ev} | {cond}) = {self.price}"
 
 
 @dataclass(frozen=True)
@@ -77,26 +68,27 @@ class PriceBook:
 
     def __post_init__(self):
         object.__setattr__(self, "assessments", tuple(self.assessments))
+        n = self.space.size
         for a in self.assessments:
-            if a.event.space != self.space:
-                raise ValueError("all assessments must live on the book's space")
+            for event in (a.event, a.condition):
+                if event and (min(event) < 0 or max(event) >= n):
+                    raise ValueError("event members out of range for the book's space")
 
 
 @dataclass(frozen=True)
 class PortfolioLeg:
+    """A signed stake in one ticket: a negative quantity means the agent sells."""
+
     assessment: int
-    direction: str  # "buy" | "sell", from the audited agent's side
     quantity: Fraction
     time: str = "t0"  # "t0" | "t_tau": when the agent makes the trade
 
     def __post_init__(self):
-        if self.direction not in ("buy", "sell"):
-            raise ValueError(f"direction must be buy or sell, got {self.direction!r}")
         if self.time not in ("t0", "t_tau"):
             raise ValueError(f"time must be t0 or t_tau, got {self.time!r}")
         object.__setattr__(self, "quantity", as_fraction(self.quantity))
-        if self.quantity <= 0:
-            raise ValueError("leg quantity must be positive")
+        if not self.quantity:
+            raise ValueError("leg quantity must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -155,14 +147,13 @@ def check_coherence(book: PriceBook) -> CoherenceResult:
 def _dutch_book(book: PriceBook, quantities: tuple[Fraction, ...]) -> Portfolio:
     """Turn a certificate's price multipliers into a sure-loss portfolio.
 
-    The legs follow the multipliers' sign pattern (positive: buy,
-    negative: sell).  `settle` nets them at unit scale, and they are then
-    scaled so the largest per-atom loss is exactly $1; every atom settles
-    strictly negative for the agent.
+    The nonzero multipliers are the legs' signed quantities.  `settle`
+    nets them at unit scale, and they are then scaled so the largest
+    per-atom loss is exactly $1; every atom settles strictly negative for
+    the agent.
     """
     unit = Portfolio(book, tuple(
-        PortfolioLeg(i, "buy" if q > 0 else "sell", abs(q))
-        for i, q in enumerate(quantities) if q))
+        PortfolioLeg(i, q) for i, q in enumerate(quantities) if q))
     nets = [settle(unit, atom) for atom in range(book.space.size)]
     # A checked certificate nets at most -y0 < 0 on every atom, so this
     # fails only on a bug.
@@ -170,7 +161,7 @@ def _dutch_book(book: PriceBook, quantities: tuple[Fraction, ...]) -> Portfolio:
         raise RuntimeError("certificate does not yield a sure loss on this book")
     scale = _ONE / -min(nets)
     return Portfolio(book, tuple(
-        PortfolioLeg(leg.assessment, leg.direction, leg.quantity * scale)
+        PortfolioLeg(leg.assessment, leg.quantity * scale)
         for leg in unit.legs))
 
 
@@ -181,18 +172,12 @@ def settle(portfolio: Portfolio, atom: int | str) -> Fraction:
     leg is a trade the agent is committed to at the later time, on a
     ticket called off unless its condition holds: off the condition it
     nets zero, exactly as the trade that never happens.  Money at the two
-    times trades at par.
+    times trades at par.  A sell leg's negative quantity negates its net.
     """
     book = portfolio.book
     if isinstance(atom, str):
         atom = book.space.index(atom)
     if not 0 <= atom < book.space.size:
         raise ValueError(f"atom index {atom} out of range")
-    total = _ZERO
-    for leg in portfolio.legs:
-        cash = leg.quantity * book.assessments[leg.assessment].net_buy_payoff(atom)
-        if leg.direction == "buy":
-            total += cash
-        else:
-            total -= cash
-    return total
+    return sum((leg.quantity * book.assessments[leg.assessment].net_buy_payoff(atom)
+                for leg in portfolio.legs), _ZERO)

@@ -154,14 +154,14 @@ def _random_book(rnd):
         event = rand_event()
         if rnd.random() < 0.3:
             condition = rand_event()
-            if prob(measure, condition.members) > 0:
-                price = cond_prob(measure, event.members, condition.members)
+            if prob(measure, condition) > 0:
+                price = cond_prob(measure, event, condition)
             else:
                 price = F(rnd.randint(0, 20), 20)  # called off everywhere
             assessments.append(Assessment(event, price, condition))
         else:
             assessments.append(
-                Assessment(event, prob(measure, event.members)))
+                Assessment(event, prob(measure, event)))
     return PriceBook(space, tuple(assessments))
 
 
@@ -170,12 +170,11 @@ def _verify_verdict(book):
     if result.coherent:
         witness = result.witness
         for a in book.assessments:
-            event = a.event.members
             if a.condition is None:
-                assert prob(witness, event) == a.price
+                assert prob(witness, a.event) == a.price
             else:
-                cond = a.condition.members
-                assert (prob(witness, event & cond)
+                cond = a.condition
+                assert (prob(witness, a.event & cond)
                         == a.price * prob(witness, cond))
         return
     for atom in book.space.atoms:

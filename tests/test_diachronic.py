@@ -107,9 +107,8 @@ def test_worked_example_book_loses_exact_amounts():
     e = book.book.space.event(["Q&E", "~Q&E"])
     assert [(a.event, a.price, a.condition) for a in book.book.assessments] == [
         (e, F(7, 10), q_cell), (q_cell, F(2, 5), None), (e, F(1, 2), q_cell)]
-    assert [(leg.assessment, leg.direction, leg.quantity, leg.time)
-            for leg in book.legs] == [
-        (0, "buy", 1, "t0"), (1, "buy", F(1, 10), "t0"), (2, "sell", 1, "t_tau")]
+    assert [(leg.assessment, leg.quantity, leg.time) for leg in book.legs] == [
+        (0, 1, "t0"), (1, F(1, 10), "t0"), (2, -1, "t_tau")]
     branches = _all_branches(book)
     assert branches[(True, True)] == F(-7, 50)
     assert branches[(True, False)] == F(-7, 50)
@@ -126,8 +125,8 @@ def test_mirrored_gap_loses_the_same_amounts():
     assert branches[(True, True)] == F(-7, 50)
     assert branches[(True, False)] == F(-7, 50)
     assert branches[(False, True)] == F(-1, 25)
-    # Directions mirror the positive-gap construction except the side bet.
-    assert [leg.direction for leg in book.legs] == ["sell", "buy", "buy"]
+    # Signs mirror the positive-gap construction except the side bet.
+    assert [leg.quantity for leg in book.legs] == [-1, F(1, 10), 1]
 
 
 def test_two_violations_book_against_the_first():
@@ -156,15 +155,15 @@ def test_realize_empty_portfolio():
 
 
 def test_timed_leg_validation():
-    assert PortfolioLeg(0, "buy", F(1)).time == "t0"
-    assert PortfolioLeg(0, "buy", F(1), "t_tau").time == "t_tau"
+    assert PortfolioLeg(0, F(1)).time == "t0"
+    assert PortfolioLeg(0, F(-1), "t_tau").time == "t_tau"
     with pytest.raises(ValueError):
-        PortfolioLeg(0, "buy", F(1), "later")
-    with pytest.raises(ValueError):
-        PortfolioLeg(0, "hold", F(1), "t0")
+        PortfolioLeg(0, F(1), "later")
+    with pytest.raises(ValueError, match="^leg quantity must be nonzero$"):
+        PortfolioLeg(0, F(0), "t0")
     book = reflection_check(TemporalModel.from_conditionals(**WORKED)).portfolio.book
     with pytest.raises(ValueError, match="called-off"):  # assessment 1 is on Q
-        Portfolio(book, (PortfolioLeg(1, "buy", F(1), "t_tau"),))
+        Portfolio(book, (PortfolioLeg(1, F(1), "t_tau"),))
 
 
 def test_temporal_model_validation():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dutchbook import diachronic
+from dutchbook import diachronic, quantum
 from dutchbook.diachronic import TemporalModel
 from dutchbook.formats import (
     AuditDocument,
@@ -143,7 +143,7 @@ def test_event_as_label_list_and_bad_label():
     data = _minimal_book(assessments=[
         {"type": "unconditional", "event": ["x", "y"], "price": "1"}])
     doc = parse_audit_document(data)
-    assert doc.book.assessments[0].event.labels() == ("x", "y")
+    assert doc.book.space.labels(doc.book.assessments[0].event) == ("x", "y")
     data = _minimal_book(assessments=[
         {"type": "unconditional", "event": ["zzz"], "price": "1"}])
     with pytest.raises(AuditFileError, match=r"assessments\[0\]\.event"):
@@ -384,6 +384,32 @@ def test_scenario_povm_validation():
     half = [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]
     with pytest.raises(AuditFileError, match=r"scenario\.povm"):
         parse_quantum_scenario(_minimal_scenario(povm=[half, half, half]))
+
+
+def test_scenario_extreme_entries_are_input_errors():
+    # Products and sums of entries near the float maximum overflow inside
+    # the instrument and POVM checks; each still ends as an input error
+    # naming its field.
+    z1 = [[0, 0], [0, 0], [0, 0], [1, 0]]
+    for big in (1e308, -1e308):
+        for m in ([[big, 0], [0, 0], [0, 0], [big, 0]],
+                  [[0, 0], [big, big], [big, -big], [0, 0]]):
+            with pytest.raises(AuditFileError, match=r"^scenario\.instrument: "):
+                parse_quantum_scenario(_minimal_scenario(instrument=[[m]]))
+            with pytest.raises(AuditFileError, match=r"^scenario\.povm: "):
+                parse_quantum_scenario(_minimal_scenario(povm=[m, z1]))
+
+
+@pytest.mark.parametrize("name", ["Instrument", "Povm"])
+def test_scenario_library_faults_propagate(monkeypatch, name):
+    # Only the errors the constructors raise on bad input become input
+    # errors; a fault inside the library is not reported as one.
+    def broken(_):
+        raise RuntimeError("library fault")
+
+    monkeypatch.setattr(quantum, name, broken)
+    with pytest.raises(RuntimeError, match="^library fault$"):
+        parse_quantum_scenario(_minimal_scenario())
 
 
 def test_missing_scenario_fields_named():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dutchbook import synchronic
-from dutchbook.beliefs import Event, OutcomeSpace
+from dutchbook.beliefs import OutcomeSpace
 from dutchbook.simplex import solve_equality_feasibility
 from dutchbook.synchronic import (
     Assessment,
@@ -60,7 +60,7 @@ def test_consistent_book_is_coherent_with_exact_witness(monkeypatch):
     w = result.witness
     assert w == solved[0].solution and len(w) == space.size
     for a in book.assessments:
-        assert prob(w, a.event.members) == a.price
+        assert prob(w, a.event) == a.price
 
 
 def test_complementary_overpricing_is_incoherent():
@@ -74,8 +74,7 @@ def test_complementary_overpricing_is_incoherent():
     # net of -$0.2 on every atom; scaled so the worst atom loses exactly
     # $1, that is five of each.
     assert amounts == [F(-1), F(-1)]
-    assert [(leg.direction, leg.quantity) for leg in portfolio.legs] == [
-        ("buy", 5), ("buy", 5)]
+    assert [leg.quantity for leg in portfolio.legs] == [5, 5]
 
 
 def test_two_prices_for_one_event():
@@ -85,10 +84,10 @@ def test_two_prices_for_one_event():
     assert not result.coherent
     portfolio = result.portfolio
     _verify_sure_loss(book, portfolio)
-    directions = {leg.assessment: leg.direction for leg in portfolio.legs}
-    # Directions are the assessor's forced trades: sell the underpriced
+    signs = {leg.assessment: leg.quantity > 0 for leg in portfolio.legs}
+    # The signs are the assessor's forced trades: sell the underpriced
     # ticket, buy the overpriced one, losing the spread on every atom.
-    assert directions == {0: "sell", 1: "buy"}
+    assert signs == {0: False, 1: True}
 
 
 def test_product_rule_violation_is_incoherent():
@@ -117,8 +116,8 @@ def test_called_off_price_constrains_only_inside_condition():
     assert result.coherent
     w = result.witness
     a = book.assessments[0]
-    cond = a.condition.members
-    assert prob(w, a.event.members & cond) == a.price * prob(w, cond)
+    cond = a.condition
+    assert prob(w, a.event & cond) == a.price * prob(w, cond)
 
 
 def test_settle_basics():
@@ -128,13 +127,16 @@ def test_settle_basics():
     result = check_coherence(book)
     assert result.coherent
 
-    bought = Portfolio(book, (PortfolioLeg(0, "buy", F(1)),))
+    bought = Portfolio(book, (PortfolioLeg(0, F(1)),))
     assert settle(bought, "e") == F(2, 5)
     assert settle(bought, "not_e") == F(-3, 5)
+    sold = Portfolio(book, (PortfolioLeg(0, "-3/2"),))
+    assert settle(sold, "e") == F(-3, 5)
+    assert settle(sold, "not_e") == F(9, 10)
     with pytest.raises(ValueError):
         settle(bought, 9)
     with pytest.raises(ValueError):  # the book has no assessment 1
-        Portfolio(book, (PortfolioLeg(1, "buy", F(1)),))
+        Portfolio(book, (PortfolioLeg(1, F(1)),))
 
 
 def test_empty_book_and_bad_prices_are_rejected():
@@ -145,6 +147,21 @@ def test_empty_book_and_bad_prices_are_rejected():
         Assessment(space.event(["e"]), F(6, 5))
     with pytest.raises(ValueError):
         Assessment(space.event(["e"]), F(-1, 5))
+
+
+def test_book_refuses_events_outside_its_space():
+    space = OutcomeSpace(["a", "b", "c", "d"])
+    inside = frozenset({0, 3})
+    PriceBook(space, (Assessment(inside, F(1, 2), inside),))
+    PriceBook(space, (Assessment(frozenset(), F(0), inside),))
+    for members in ({-1}, {4}, {0, 4}, {-1, 2}):
+        outside = frozenset(members)
+        for a in (Assessment(outside, F(1, 2)),
+                  Assessment(inside, F(1, 2), outside)):
+            with pytest.raises(
+                    ValueError,
+                    match="^event members out of range for the book's space$"):
+                PriceBook(space, (a,))
 
 
 _price = st.fractions(min_value=0, max_value=1, max_denominator=10)
@@ -158,11 +175,11 @@ def _random_book(draw, max_atoms=6, max_assessments=5):
     assessments = []
     subsets = st.frozensets(st.integers(min_value=0, max_value=n - 1))
     for _ in range(count):
-        event = Event(space, draw(subsets))
+        event = draw(subsets)
         price = draw(_price)
         if draw(st.booleans()):
             cond = draw(subsets.filter(lambda s: len(s) > 0))
-            assessments.append(Assessment(event, price, Event(space, cond)))
+            assessments.append(Assessment(event, price, cond))
         else:
             assessments.append(Assessment(event, price))
     return PriceBook(space, tuple(assessments))
@@ -177,12 +194,11 @@ def test_exactly_one_of_witness_or_sure_loss(book):
     if result.coherent:
         w = result.witness
         for a in book.assessments:
-            event = a.event.members
             if a.condition is None:
-                assert prob(w, event) == a.price
+                assert prob(w, a.event) == a.price
             else:
-                cond = a.condition.members
-                assert prob(w, event & cond) == a.price * prob(w, cond)
+                cond = a.condition
+                assert prob(w, a.event & cond) == a.price * prob(w, cond)
     else:
         _verify_sure_loss(book, result.portfolio)
 
@@ -200,11 +216,11 @@ def test_books_priced_by_a_measure_are_coherent(data):
     subsets = st.frozensets(st.integers(min_value=0, max_value=n - 1))
     assessments = []
     for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
-        event = Event(space, data.draw(subsets))
-        cond = Event(space, data.draw(subsets))
-        if prob(pmf, cond.members) > 0:
-            price = cond_prob(pmf, event.members, cond.members)
+        event = data.draw(subsets)
+        cond = data.draw(subsets)
+        if prob(pmf, cond) > 0:
+            price = cond_prob(pmf, event, cond)
             assessments.append(Assessment(event, price, cond))
         else:
-            assessments.append(Assessment(event, prob(pmf, event.members)))
+            assessments.append(Assessment(event, prob(pmf, event)))
     assert check_coherence(PriceBook(space, tuple(assessments))).coherent

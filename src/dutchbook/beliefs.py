@@ -3,7 +3,8 @@ parsing and pmf checks.
 
 Everything here is exact: probabilities and payoffs are `fractions.Fraction`
 values, so audit verdicts built on top of this module are tolerance-free.
-All types are immutable after construction and safe to share across threads.
+All types are immutable after construction, compare by value, and are safe
+to share across threads.
 
 A belief state is an exact pmf: one `Fraction` mass per atom, in the
 space's atom order.  A coherence witness is the solver's point, checked
@@ -16,7 +17,6 @@ lcm.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
@@ -88,11 +88,38 @@ def _scaled_pmf(pmf) -> tuple[int, list[int]]:
     return denom, numerators
 
 
-@dataclass(frozen=True)
-class OutcomeSpace:
+class _Record:
+    """An immutable `__slots__` class: `__init__` sets each field once, and
+    the public fields give its equality, hash and repr."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__
+                     if name[0] != "_")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values()!r}"
+
+
+class OutcomeSpace(_Record):
     """An ordered finite set of mutually exclusive, exhaustive atoms."""
 
-    atoms: tuple[str, ...]
+    __slots__ = ("atoms", "_index")
 
     def __init__(self, atoms: Iterable[str]):
         atoms = tuple(atoms)
@@ -100,8 +127,8 @@ class OutcomeSpace:
             raise ValueError(f"outcome space must have 1..{MAX_ATOMS} atoms, got {len(atoms)}")
         if len(set(atoms)) != len(atoms):
             raise ValueError("atom labels must be unique")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_index", {label: i for i, label in enumerate(atoms)})
+        self.atoms = atoms
+        self._index = {label: i for i, label in enumerate(atoms)}
 
     @property
     def size(self) -> int:

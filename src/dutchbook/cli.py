@@ -278,8 +278,6 @@ def _cmd_demo_reflection(args) -> tuple[int, dict]:
 
 
 def _cmd_demo_polarization(args) -> tuple[int, dict]:
-    from dataclasses import asdict
-
     from .exchangeable import BitString, pi_fractional_bits, scenario_report
 
     observed = None
@@ -303,7 +301,7 @@ def _cmd_demo_polarization(args) -> tuple[int, dict]:
 
     both_ok = result.conditioning_coherent and result.maverick_coherent
     return (OK if both_ok else INCOHERENT), {"kind": "polarization-demo",
-                                             **asdict(result)}
+                                             **result._asdict()}
 
 
 def _cmd_demo_quantum(args) -> tuple[int, dict]:

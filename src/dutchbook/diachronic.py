@@ -27,9 +27,8 @@ one `Fraction` of two stored integers, so an audit adds no fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .beliefs import MAX_ATOMS, OutcomeSpace, Rational, _scaled_pmf, as_fraction
 from .synchronic import Assessment, Portfolio, PortfolioLeg, PriceBook
@@ -53,8 +52,7 @@ class StrategyNotAdoptedError(ValueError):
     """The joint does not encode certainty about the post-learning value."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One future value whose t=0 conditional disagrees with it."""
 
     q: Fraction
@@ -143,8 +141,7 @@ class TemporalModel:
         return Fraction(self._mass[i], self._scale)
 
 
-@dataclass(frozen=True)
-class ReflectionResult:
+class ReflectionResult(NamedTuple):
     """Every reflection violation, and a sure-loss book against the first."""
 
     violations: list[Violation]
@@ -211,8 +208,7 @@ def _three_leg_book(
     ))
 
 
-@dataclass(frozen=True)
-class ConditioningResult:
+class ConditioningResult(NamedTuple):
     """Outcome of auditing an adopted learn-D-then-set-q strategy."""
 
     forced_q: Fraction

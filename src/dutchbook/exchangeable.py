@@ -19,8 +19,10 @@ below the last bit returned absorb that cut and every other truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple
+
+from .beliefs import _Record
 
 __all__ = [
     "MAX_PI_BITS",
@@ -41,8 +43,7 @@ _DIGIT_BYTES = bytes.maketrans(b"01", _BIT_BYTES)
 _DROP_DIGITS = str.maketrans("", "", "01")
 
 
-@dataclass(frozen=True)
-class BitString:
+class BitString(_Record):
     """An observed sequence of zeros and ones.
 
     `bits` holds one byte per bit, each 0 or 1, so validation and the
@@ -50,18 +51,18 @@ class BitString:
     takes any iterable of 0/1 ints: a tuple, a list or `bytes`.
     """
 
-    bits: bytes
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if isinstance(self.bits, int):  # bytes(n) would make n zero bytes
+    def __init__(self, bits: Iterable[int]):
+        if isinstance(bits, int):  # bytes(n) would make n zero bytes
             raise TypeError("bits must be an iterable of 0/1 ints")
         try:
-            bits = bytes(self.bits)
+            bits = bytes(bits)
         except ValueError:  # an int outside 0..255
             raise ValueError("bits must be 0 or 1") from None
         if bits.translate(None, _BIT_BYTES):
             raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        self.bits = bits
 
     @classmethod
     def from_text(cls, text: str) -> BitString:
@@ -149,8 +150,7 @@ def pi_fractional_bits(n: int) -> BitString:
     return BitString(digits.translate(_DIGIT_BYTES))
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     """Side-by-side of the conditioning-rule bet and a gut-feeling bet."""
 
     n: int

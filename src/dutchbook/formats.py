@@ -17,9 +17,8 @@ it is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .beliefs import OutcomeSpace, as_fraction
 
@@ -90,18 +89,20 @@ def _resolve_event(ref: Any, space: OutcomeSpace,
     _fail(field, "expected an event name or a list of atom labels")
 
 
-@dataclass(frozen=True)
 class AuditDocument:
     """Parsed audit file: a price book, a temporal model, or both."""
 
-    book: PriceBook | None
-    temporal: TemporalModel | None
-    declared_q: Fraction | None  # from the temporal strategy block, if any
+    __slots__ = ("book", "temporal", "declared_q")
 
-    def __post_init__(self):
-        if self.book is None and self.temporal is None:
+    def __init__(self, book: PriceBook | None, temporal: TemporalModel | None,
+                 declared_q: Fraction | None):
+        # `declared_q` comes from the temporal strategy block, if any.
+        if book is None and temporal is None:
             raise AuditFileError(
                 "document: needs assessments, a temporal block, or both")
+        self.book = book
+        self.temporal = temporal
+        self.declared_q = declared_q
 
 
 def _parse_book(data: dict, field: str) -> PriceBook:
@@ -264,8 +265,7 @@ def _matrix_from_pairs(pairs: Any, dim: int, field: str) -> tuple:
     return tuple(tuple(values[r:r + dim]) for r in range(0, dim * dim, dim))
 
 
-@dataclass(frozen=True)
-class QuantumScenario:
+class QuantumScenario(NamedTuple):
     """Two-time measurement setup: initial state, instrument, POVM (from
     `dutchbook.quantum`, which loads on the first scenario parsed)."""
 

@@ -25,7 +25,6 @@ value overflows to inf or NaN fails, silently.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mul, sub
 from typing import Sequence
@@ -197,14 +196,13 @@ def _is_psd(m: Matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A quantum state: Hermitian, unit-trace, positive semidefinite."""
 
-    matrix: Matrix
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        m = _as_square(self.matrix, "density operator")
+    def __init__(self, matrix: Matrix):
+        m = _as_square(matrix, "density operator")
         if _non_hermitian(m):
             raise ValueError("density operator must be Hermitian")
         trace = _trace(m)
@@ -212,30 +210,29 @@ class DensityOperator:
             raise ValueError(f"density operator trace must be 1, got {trace:.12g}")
         if not _is_psd(m):
             raise ValueError("density operator must be positive semidefinite")
-        object.__setattr__(self, "matrix", m)
+        self.matrix = m
 
     @property
     def dim(self) -> int:
         return len(self.matrix)
 
 
-@dataclass(frozen=True, eq=False)
 class Instrument:
     """A measurement with outcome-resolved state change, in Kraus form.
 
-    outcomes[i] is the tuple of Kraus operators of the map F_i; complete
+    `outcomes[i]` lists the Kraus operators of the map F_i; complete
     positivity is automatic.  The whole collection must be trace
     preserving: sum over every Kraus operator of K†K equals the identity.
     """
 
-    outcomes: tuple[tuple[Matrix, ...], ...]
+    __slots__ = ("_kraus",)
 
-    def __post_init__(self):
-        if not self.outcomes:
+    def __init__(self, outcomes: Sequence[Sequence[Matrix]]):
+        if not outcomes:
             raise ValueError("instrument needs at least one outcome")
         packed = []
         dim = None
-        for i, kraus_list in enumerate(self.outcomes):
+        for i, kraus_list in enumerate(outcomes):
             kraus_list = tuple(kraus_list)
             if not kraus_list:
                 raise ValueError(f"outcome {i} has no Kraus operators")
@@ -253,34 +250,33 @@ class Instrument:
                               for k in chain.from_iterable(packed))):
             raise NotTracePreservingError(
                 "Kraus operators must satisfy sum K†K = identity")
-        object.__setattr__(self, "outcomes", tuple(packed))
+        self._kraus = tuple(packed)
 
     @property
     def dim(self) -> int:
-        return len(self.outcomes[0][0])
+        return len(self._kraus[0][0])
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.outcomes)
+        return len(self._kraus)
 
     def apply(self, i: int, rho: Matrix) -> Matrix:
         """The (unnormalized) image F_i(rho)."""
         return _sum(_matmul(_matmul(k, rho), _dagger(k))
-                    for k in self.outcomes[i])
+                    for k in self._kraus[i])
 
 
-@dataclass(frozen=True, eq=False)
 class Povm:
     """A positive operator valued measure: PSD effects resolving identity."""
 
-    effects: tuple[Matrix, ...]
+    __slots__ = ("effects",)
 
-    def __post_init__(self):
-        if not self.effects:
+    def __init__(self, effects: Sequence[Matrix]):
+        if not effects:
             raise ValueError("POVM needs at least one effect")
         packed = []
         dim = None
-        for j, e in enumerate(self.effects):
+        for j, e in enumerate(effects):
             e = _as_square(e, f"effect {j}")
             if dim is None:
                 dim = len(e)
@@ -294,7 +290,7 @@ class Povm:
             packed.append(e)
         if _not_identity(_sum(packed)):
             raise ValueError("effects must sum to the identity")
-        object.__setattr__(self, "effects", tuple(packed))
+        self.effects = tuple(packed)
 
     @property
     def dim(self) -> int:

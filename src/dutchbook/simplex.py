@@ -35,11 +35,10 @@ No tolerances anywhere: every comparison is an exact integer comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .beliefs import _scaled
 
@@ -48,8 +47,7 @@ __all__ = ["Feasibility", "solve_equality_feasibility"]
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(NamedTuple):
     """Outcome of a feasibility solve: a point or a Farkas certificate."""
 
     feasible: bool

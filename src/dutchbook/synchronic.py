@@ -18,10 +18,10 @@ Called-off prices enter the feasibility system linearized as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
-from .beliefs import OutcomeSpace, as_fraction
+from .beliefs import OutcomeSpace, Rational, _Record, as_fraction
 from .simplex import solve_equality_feasibility
 
 __all__ = [
@@ -38,70 +38,72 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(_Record):
     """One announced fair price: unconditional, or called off on a condition."""
 
-    event: frozenset[int]  # atom indices on the space of the book holding it
-    price: Fraction
-    condition: frozenset[int] | None = None
+    # `event` and `condition` hold atom indices on the space of the book
+    # holding the assessment.
+    __slots__ = ("event", "price", "condition", "_nets")
 
-    def __post_init__(self):
-        object.__setattr__(self, "price", as_fraction(self.price))
-        if not 0 <= self.price <= 1:
-            raise ValueError(f"price must lie in [0, 1], got {self.price}")
+    def __init__(self, event: frozenset[int], price: Rational,
+                 condition: frozenset[int] | None = None):
+        price = as_fraction(price)
+        if not 0 <= price <= 1:
+            raise ValueError(f"price must lie in [0, 1], got {price}")
+        self.event = event
+        self.price = price
+        self.condition = condition
+        # The buyer's net inside the condition: lost, won.
+        self._nets = (-price, 1 - price)
 
     def net_buy_payoff(self, atom: int) -> Fraction:
         """Settlement cash to a buyer of one ticket, price already paid."""
         if self.condition is not None and atom not in self.condition:
             return _ZERO  # refund cancels the price
-        won = atom in self.event
-        return (_ONE if won else _ZERO) - self.price
+        return self._nets[atom in self.event]
 
 
-@dataclass(frozen=True)
-class PriceBook:
+class PriceBook(_Record):
     """A set of priced gambles awaiting audit, all over one space."""
 
-    space: OutcomeSpace
-    assessments: tuple[Assessment, ...]
+    __slots__ = ("space", "assessments")
 
-    def __post_init__(self):
-        object.__setattr__(self, "assessments", tuple(self.assessments))
-        n = self.space.size
-        for a in self.assessments:
+    def __init__(self, space: OutcomeSpace, assessments: Iterable[Assessment]):
+        self.space = space
+        self.assessments = assessments = tuple(assessments)
+        n = space.size
+        for a in assessments:
             for event in (a.event, a.condition):
                 if event and (min(event) < 0 or max(event) >= n):
                     raise ValueError("event members out of range for the book's space")
 
 
-@dataclass(frozen=True)
-class PortfolioLeg:
+class PortfolioLeg(_Record):
     """A signed stake in one ticket: a negative quantity means the agent sells."""
 
-    assessment: int
-    quantity: Fraction
-    time: str = "t0"  # "t0" | "t_tau": when the agent makes the trade
+    __slots__ = ("assessment", "quantity", "time")  # time: when it trades
 
-    def __post_init__(self):
-        if self.time not in ("t0", "t_tau"):
-            raise ValueError(f"time must be t0 or t_tau, got {self.time!r}")
-        object.__setattr__(self, "quantity", as_fraction(self.quantity))
-        if not self.quantity:
+    def __init__(self, assessment: int, quantity: Rational, time: str = "t0"):
+        if time not in ("t0", "t_tau"):
+            raise ValueError(f"time must be t0 or t_tau, got {time!r}")
+        quantity = as_fraction(quantity)
+        if not quantity:
             raise ValueError("leg quantity must be nonzero")
+        self.assessment = assessment
+        self.quantity = quantity
+        self.time = time
 
 
-@dataclass(frozen=True)
-class Portfolio:
+class Portfolio(_Record):
     """Buy/sell combination of one book's tickets; net payoff computable per atom."""
 
-    book: PriceBook
-    legs: tuple[PortfolioLeg, ...]
+    __slots__ = ("book", "legs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "legs", tuple(self.legs))
-        assessments = self.book.assessments
-        for leg in self.legs:
+    def __init__(self, book: PriceBook, legs: Iterable[PortfolioLeg]):
+        self.book = book
+        self.legs = legs = tuple(legs)
+        assessments = book.assessments
+        for leg in legs:
             if not 0 <= leg.assessment < len(assessments):
                 raise ValueError("leg refers to an assessment outside the book")
             # Settlement reads "no trade" off the condition of a t_tau leg.
@@ -109,8 +111,7 @@ class Portfolio:
                 raise ValueError("a t_tau leg must trade a called-off ticket")
 
 
-@dataclass(frozen=True)
-class CoherenceResult:
+class CoherenceResult(NamedTuple):
     """A witness pmf for a coherent book, or a sure-loss portfolio."""
 
     witness: tuple[Fraction, ...] | None  # the mass of each atom, in atom order

@@ -215,6 +215,14 @@ def test_scenario_report_rounds_the_exact_predictive(n):
     assert report.conditioning_next_zero == (bits.zeros + 1) / (n + 2)
 
 
+def test_scenario_report_keeps_the_report_field_order():
+    # `demo-polarization` reports these fields after its kind, in this order.
+    report = scenario_report(2, BitString((0, 1)))
+    assert list(report._asdict()) == [
+        "n", "zeros", "ones", "conditioning_next_zero", "maverick_q",
+        "conditioning_coherent", "maverick_coherent"]
+
+
 def test_scenario_report_length_mismatch():
     with pytest.raises(ValueError):
         scenario_report(3, BitString((0, 1, 0, 1)))

@@ -144,7 +144,7 @@ def test_instrument_shape_properties():
     ins = _z_instrument()
     assert ins.dim == 2
     assert ins.n_outcomes == 2
-    assert all(len(ops) == 1 for ops in ins.outcomes)
+    assert all(len(ops) == 1 for ops in ins._kraus)
 
 
 def test_povm_validation():
@@ -461,7 +461,7 @@ def test_random_triples_match_a_numpy_reference(dim, rng):
         r = np.array(rho.matrix)
         effects = [np.array(e) for e in pov.effects]
         images = [sum(np.array(k) @ r @ np.array(k).conj().T for k in ks)
-                  for ks in ins.outcomes]
+                  for ks in ins._kraus]
         decohered = sum(images)
         reflection = [(e @ decohered).trace().real for e in effects]
         frame = np.stack([e.T.reshape(-1) for e in effects])
@@ -518,7 +518,7 @@ def test_random_instrument_shapes(rng):
     ins = random_instrument(3, 4, rng, kraus_per_outcome=2)
     assert ins.dim == 3
     assert ins.n_outcomes == 4
-    assert all(len(ops) == 2 for ops in ins.outcomes)
+    assert all(len(ops) == 2 for ops in ins._kraus)
 
 
 def test_random_povm_shapes_and_completeness(rng):

@@ -139,6 +139,28 @@ def test_settle_basics():
         Portfolio(book, (PortfolioLeg(1, F(1)),))
 
 
+def test_records_are_immutable_values():
+    # Two portfolios built apart from equal parts are one value.
+    def portfolio():
+        book = _book(OutcomeSpace(["e", "not_e"]), (["e"], "3/5"),
+                     (["not_e"], "1/2", ["not_e"]))
+        return Portfolio(book, (PortfolioLeg(0, 1), PortfolioLeg(1, -2, "t_tau")))
+
+    first, second = portfolio(), portfolio()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != Portfolio(first.book, (PortfolioLeg(0, 1),))
+    book, leg = first.book, first.legs[0]
+    for record, field, value in [(first, "legs", ()), (book, "assessments", ()),
+                                 (book.assessments[0], "price", F(1)),
+                                 (leg, "quantity", F(3)), (book.space, "atoms", ())]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert first == second and leg.quantity == 1
+
+
 def test_empty_book_and_bad_prices_are_rejected():
     space = OutcomeSpace(["e", "not_e"])
     with pytest.raises(ValueError):

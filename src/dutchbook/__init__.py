@@ -43,8 +43,7 @@ _SUBMODULE = {
         "ZeroProbabilityOutcomeError", "TinyProbabilityOutcomeError",
         "NotInformationallyCompleteError", "InconsistentProbabilitiesError",
         "first_outcome_probs", "post_state", "outcome_probs",
-        "reflection_prob", "decohered_state", "is_informationally_complete",
-        "reconstruct_state",
+        "reflection_prob", "decohered_state", "reconstruct_state",
     ), "quantum"),
     **dict.fromkeys(("AuditDocument", "AuditFileError", "QuantumScenario",
                      "load_audit_file", "load_quantum_file",

@@ -17,9 +17,9 @@ Python: each matrix is a tuple of row tuples of `complex`, and the
 constructors accept any square nested sequence of numbers.
 Tolerances: 1e-10 for structural invariants (Hermiticity, trace, identity
 sums), eigenvalue floor -1e-10, 1e-12 for a zero outcome probability,
-1e-10 relative for a pivot of the informational-completeness test, 1e-8
-for the residual of a state reconstruction.  A structural check whose
-value overflows to inf or NaN fails, silently.
+1e-10 relative for a pivot of a reconstruction's elimination (which
+decides informational completeness), 1e-8 for its residual.  A
+structural check whose value overflows to inf or NaN fails, silently.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "outcome_probs",
     "reflection_prob",
     "decohered_state",
-    "is_informationally_complete",
     "reconstruct_state",
 ]
 
@@ -407,19 +406,6 @@ def _eliminate(rows: list[list[float]], ncols: int, tol: float) -> int:
     return rank
 
 
-def is_informationally_complete(pov: Povm) -> bool:
-    """Whether the effects span the full d^2-dimensional operator space.
-
-    The rank of the real frame is read off Gaussian elimination with
-    partial pivoting, a pivot counting as zero at or below `IC_TOL` times
-    the frame's largest absolute entry.
-    """
-    n = pov.dim ** 2
-    frame = _frame_matrix(pov)
-    scale = max(map(abs, chain.from_iterable(frame)))
-    return _eliminate(frame, n, IC_TOL * scale) == n
-
-
 def _worst(values) -> float:
     """The largest value, or NaN if any value is NaN."""
     values = list(values)
@@ -429,34 +415,32 @@ def _worst(values) -> float:
 def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     """The unique density operator with tr(E_j rho) = probs[j].
 
-    Least-squares linear inversion on the real effect frame, through the
-    normal equations.  Refuses non-IC POVMs (the operator would not be
-    unique) and probability lists no state reproduces: a non-finite
-    probability, or a residual above `RECONSTRUCT_TOL` or overflowing to
-    inf or NaN.
+    One Gaussian elimination (`_eliminate`) of the real effect frame
+    augmented by the probabilities.  Its pivots, taken from the frame's
+    columns only and zero at or below `IC_TOL` times the frame's largest
+    entry, give the POVM's rank whatever the probabilities: below d^2 the
+    effects do not span the operator space and the state is not unique.
+    Back-substitution on the d^2 pivot rows gives the coordinates.
+    Refuses, in order: a list of the wrong length, a POVM that is not
+    informationally complete, and probabilities no state reproduces: a
+    non-finite one, or a residual over all effects above
+    `RECONSTRUCT_TOL` or overflowing to inf or NaN.
     """
     if len(probs) != pov.n_outcomes:
         raise ValueError(
             f"expected {pov.n_outcomes} probabilities, got {len(probs)}")
-    if not is_informationally_complete(pov):
-        raise NotInformationallyCompleteError(
-            "effects are rank-deficient; the state is not determined")
-    target = [float(p) for p in probs]
-    if not all(map(cmath.isfinite, target)):
-        raise InconsistentProbabilitiesError(
-            "no state matches probabilities that are not finite")
     d = pov.dim
     n = d * d
     frame = _frame_matrix(pov)
-    # The normal equations G x = F^T p, G = F^T F, as one augmented system.
-    cols = list(zip(*frame))
-    system = [[0.0] * n + [sum(map(mul, u, target))] for u in cols]
-    for i, u in enumerate(cols):
-        for j in range(i, n):
-            system[i][j] = system[j][i] = sum(map(mul, u, cols[j]))
-    if _eliminate(system, n, 0.0) < n:  # G is singular in floating point
+    target = [float(p) for p in probs]
+    scale = max(map(abs, chain.from_iterable(frame)))
+    system = [row + [p] for row, p in zip(frame, target)]
+    if _eliminate(system, n, IC_TOL * scale) < n:
         raise NotInformationallyCompleteError(
             "effects are rank-deficient; the state is not determined")
+    if not all(map(cmath.isfinite, target)):
+        raise InconsistentProbabilitiesError(
+            "no state matches probabilities that are not finite")
     coords = [0.0] * n
     for k in reversed(range(n)):
         row = system[k]

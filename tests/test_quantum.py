@@ -20,7 +20,6 @@ from dutchbook.quantum import (
     ZeroProbabilityOutcomeError,
     decohered_state,
     first_outcome_probs,
-    is_informationally_complete,
     outcome_probs,
     post_state,
     reconstruct_state,
@@ -28,6 +27,7 @@ from dutchbook.quantum import (
 )
 from dutchbook.quantum import _frame_matrix
 from quantum_fixtures import (
+    _PAULI,
     ALG_TOL,
     lueders_instrument,
     pure_state,
@@ -389,11 +389,45 @@ def test_frame_matrix_reproduces_born_rule(rng):
 
 
 def test_informational_completeness_verdicts():
-    assert is_informationally_complete(tetrahedron_povm())
+    # Completeness is decided inside `reconstruct_state`: a complete POVM
+    # gives back a state, an incomplete one raises.
+    rho = DensityOperator(EYE2 / 2)
+    for pov in (tetrahedron_povm(), _six_effect_povm()):
+        reconstruct_state(pov, outcome_probs(pov, rho))
     z0, z1 = z_basis_projectors()
-    assert not is_informationally_complete(Povm((z0, z1)))
-    assert not is_informationally_complete(Povm((EYE2 / 2, EYE2 / 2)))
-    assert is_informationally_complete(_six_effect_povm())
+    for pov in (Povm((z0, z1)), Povm((EYE2 / 2, EYE2 / 2))):
+        with pytest.raises(NotInformationallyCompleteError):
+            reconstruct_state(pov, outcome_probs(pov, rho))
+
+
+@pytest.mark.parametrize("eta, bound", [
+    (1e-12, None), (1e-10, None), (1e-9, 1e-6), (1e-6, 1e-9),
+])
+def test_completeness_threshold_is_relative_to_the_frame(eta, bound):
+    # The effects (I +- Z)/6, (I +- X)/6 and (I +- eta Y)/6 reach the Y
+    # direction with a pivot of eta/3 against a largest frame entry of 1/3,
+    # so `IC_TOL` = 1e-10 is the threshold: at eta = 1e-10 the pivot equals
+    # the floor and counts as zero.  Above it, the Y coordinate is read off
+    # through a pivot of eta/3, magnifying rounding by about 1/eta.
+    x, y, z = _PAULI
+    pov = Povm(tuple((EYE2 + sign * p) / 6
+                     for p in (z, x, eta * y) for sign in (1, -1)))
+    rho = DensityOperator((EYE2 + 0.3 * x + 0.4 * y + 0.2 * z) / 2)
+    probs = outcome_probs(pov, rho)
+    if bound is None:
+        with pytest.raises(NotInformationallyCompleteError):
+            reconstruct_state(pov, probs)
+    else:
+        rebuilt = np.array(reconstruct_state(pov, probs).matrix)
+        assert np.abs(rebuilt - np.array(rho.matrix)).max() <= bound
+
+
+@pytest.mark.parametrize("probs", [
+    [float("nan"), float("nan")], [float("inf"), 0.0],
+], ids=["nan", "inf"])
+def test_reconstruct_decides_completeness_before_finiteness(probs):
+    with pytest.raises(NotInformationallyCompleteError):
+        reconstruct_state(Povm(z_basis_projectors()), probs)
 
 
 def test_reconstruct_round_trip(rng):
@@ -479,7 +513,6 @@ def test_random_triples_match_a_numpy_reference(dim, rng):
         assert gap(outcome_probs(pov, rho),
                    [(e @ r).trace().real for e in effects]) <= ALG_TOL
         assert gap(decohered_state(ins, rho).matrix, decohered) <= ALG_TOL
-        assert is_informationally_complete(pov)
         assert gap(reconstruct_state(pov, reflection).matrix, rebuilt) <= 1e-10
 
 
@@ -525,8 +558,9 @@ def test_random_povm_shapes_and_completeness(rng):
     pov = random_povm(2, 4, rng)
     assert pov.dim == 2
     assert pov.n_outcomes == 4
-    # Four generic effects on a qubit span the operator space.
-    assert is_informationally_complete(pov)
+    # Four generic effects on a qubit span the operator space, so they
+    # determine a state.
+    reconstruct_state(pov, outcome_probs(pov, random_density(2, rng)))
 
 
 def test_random_projector_family_validates(rng):

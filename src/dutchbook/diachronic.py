@@ -18,11 +18,13 @@ Money at the two times trades at par: a zero interest rate is hard-coded.
 Negative realized amounts are agent losses.
 
 Both constraints are statements about value-cell sums, so a model stores
-nothing else.  It validates its joint in ints, by the exact-pmf check
-`beliefs._scaled_pmf`, and keeps every value cell's mass, E-mass,
-D-mass and (E and D)-mass as numerators over the masses' common
-denominator.  The audits read those sums; each conditional they report is
-one `Fraction` of two stored integers, so an audit adds no fractions.
+nothing else.  It reads its joint in one pass, each key's value cell and
+E (and D) flags straight from the key, checks in ints that the masses are
+nonnegative and sum to exactly 1 (`beliefs._scaled_pmf`), and keeps every
+value cell's mass, E-mass, D-mass and (E and D)-mass as numerators over
+the masses' common denominator.  The audits read those sums; each
+conditional they report is one `Fraction` of two stored integers, so an
+audit adds no fractions.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = [
     "conditioning_strategy_check",
 ]
 
-_ZERO = Fraction(0)
+_FLAGS = frozenset((True, False))
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
@@ -79,40 +81,34 @@ class TemporalModel:
             raise ValueError("joint keys must be uniformly (i, e) or (i, e, d)")
         self.has_base = key_lens == {3}
 
-        # Each value cell's atoms are contiguous, one per (e, d) branch in
-        # this order.
-        branches = [(e, d) for e in (True, False)
-                    for d in ((True, False) if self.has_base else (None,))]
-        size = len(self.qs) * len(branches)
+        n = len(self.qs)
+        size = n * (4 if self.has_base else 2)
         if not 1 <= size <= MAX_ATOMS:
             raise ValueError(f"outcome space must have 1..{MAX_ATOMS} atoms, got {size}")
-        index = {}
-        for i in range(len(self.qs)):
-            for e, d in branches:
-                index[(i, e) if d is None else (i, e, d)] = len(index)
-        pmf = [_ZERO] * size
-        for key, mass in joint.items():
-            if key not in index:
+        # A key names its value cell and its E (and D) branch by hash and
+        # equality, as a dict lookup would: (0, 1) and (0.0, True) are the
+        # key (0, True).  A number equal to cell i hashes to i, so the cell
+        # is found without a search.
+        cells, masses = [], []
+        for key, value in joint.items():
+            if not (isinstance(key, tuple) and 0 <= (i := hash(key[0])) < n
+                    and key[0] == i and _FLAGS.issuperset(key[1:])):
                 raise ValueError(f"joint key {key!r} does not match the model shape")
-            pmf[index[key]] = as_fraction(mass)
+            cells.append((i, key[1], self.has_base and key[2]))
+            masses.append(as_fraction(value))
 
         # Per value cell: its mass and the masses of E, D and (E and D)
         # within it, as numerators over the joint's common denominator.
-        self._scale, numerators = _scaled_pmf(pmf)
-        mass, e_mass, d_mass, ed_mass = [], [], [], []
-        # zip over one iterator repeated yields each cell's atoms in turn.
-        cell_atoms = [iter(numerators)] * len(branches)
-        if self.has_base:
-            for ed, e_nd, ne_d, ne_nd in zip(*cell_atoms):
-                mass.append(ed + e_nd + ne_d + ne_nd)
-                e_mass.append(ed + e_nd)
-                d_mass.append(ed + ne_d)
-                ed_mass.append(ed)
-        else:
-            for e, ne in zip(*cell_atoms):
-                mass.append(e + ne)
-                e_mass.append(e)
-            d_mass = ed_mass = [0] * len(self.qs)
+        self._scale, numerators = _scaled_pmf(masses)
+        mass, e_mass, d_mass, ed_mass = ([0] * n for _ in range(4))
+        for (i, e, d), x in zip(cells, numerators):
+            mass[i] += x
+            if e:
+                e_mass[i] += x
+            if d:
+                d_mass[i] += x
+                if e:
+                    ed_mass[i] += x
         self._mass = tuple(mass)
         self._e_mass = tuple(e_mass)
         self._d_mass = tuple(d_mass)
@@ -126,7 +122,6 @@ class TemporalModel:
         e_given_q: Sequence[Rational],
     ) -> TemporalModel:
         """Build a base-event-free model from per-cell mass and P(E | cell)."""
-        qs = [as_fraction(q) for q in qs]
         masses = [as_fraction(m) for m in masses]
         conds = [as_fraction(c) for c in e_given_q]
         if not len(qs) == len(masses) == len(conds):

@@ -312,13 +312,24 @@ def first_outcome_probs(ins: Instrument, rho: DensityOperator) -> list[float]:
             for i in range(ins.n_outcomes)]
 
 
+def _normalized(image: Matrix, p: float) -> DensityOperator:
+    """The state of an unnormalized image of trace p: the Hermitian part of
+    image / p.  The image is Hermitian, but dividing magnifies its rounding
+    past `STRUCT_TOL`; the Hermitian part removes it.  A result that still
+    fails a state check raises ValueError."""
+    m = tuple(tuple(z / p for z in row) for row in image)
+    return DensityOperator(tuple(
+        tuple(x / 2 + y.conjugate() / 2 for x, y in zip(row, col))
+        for row, col in zip(m, zip(*m))))
+
+
 def post_state(ins: Instrument, i: int, rho: DensityOperator) -> DensityOperator:
     """State assigned on learning outcome i: F_i(rho_0) / P_0(i).
 
-    F_i(rho_0) is Hermitian, but dividing by a small P_0(i) magnifies its
-    rounding past `STRUCT_TOL`, so the state is the Hermitian part of the
-    quotient.  Just above `ZERO_PROB_TOL` the magnified rounding can also
-    push an eigenvalue below `EIG_FLOOR`; that outcome raises
+    The state is the Hermitian part of the quotient (`_normalized`), since
+    dividing by a small P_0(i) magnifies the image's rounding past
+    `STRUCT_TOL`.  Just above `ZERO_PROB_TOL` the magnified rounding can
+    also push an eigenvalue below `EIG_FLOOR`; that outcome raises
     `TinyProbabilityOutcomeError`, since no state can be read off it in
     floating point.  Like a zero-probability outcome, it has no posterior,
     while every other quantity of the scenario stays well defined.
@@ -329,11 +340,8 @@ def post_state(ins: Instrument, i: int, rho: DensityOperator) -> DensityOperator
     if p <= ZERO_PROB_TOL:
         raise ZeroProbabilityOutcomeError(
             f"outcome {i} has probability {p:.3g}; posterior state undefined")
-    m = tuple(tuple(z / p for z in row) for row in image)
     try:
-        return DensityOperator(tuple(
-            tuple(x / 2 + y.conjugate() / 2 for x, y in zip(row, col))
-            for row, col in zip(m, zip(*m))))
+        return _normalized(image, p)
     except ValueError:
         raise TinyProbabilityOutcomeError(
             f"outcome {i} has probability {p:.3g}, too small for a posterior "
@@ -364,11 +372,19 @@ def reflection_prob(ins: Instrument, pov: Povm,
 def decohered_state(ins: Instrument, rho0: DensityOperator) -> DensityOperator:
     """The single state rho'_0 = sum_i F_i(rho_0) carrying all predictions.
 
-    Reproduces reflection_prob for every POVM: tr(E_j rho'_0) = P_0(j).
+    Reproduces reflection_prob for every POVM: tr(E_j rho'_0) = P_0(j),
+    up to the instrument's trace defect.  That defect is within
+    `STRUCT_TOL` per entry of sum K†K - I, but it can put the trace of the
+    sum further off 1, so the sum is normalized like a posterior
+    (`_normalized`).  A normalized sum that still fails a state check, an
+    eigenvalue below `EIG_FLOOR` say, raises `QuantumError`.
     """
     _require_same_dim(ins.dim, rho0.dim)
-    return DensityOperator(_sum(ins.apply(i, rho0.matrix)
-                                for i in range(ins.n_outcomes)))
+    image = _sum(ins.apply(i, rho0.matrix) for i in range(ins.n_outcomes))
+    try:
+        return _normalized(image, _trace(image).real)
+    except ValueError as exc:
+        raise QuantumError(f"decohered state: {exc}") from None
 
 
 def _frame_matrix(pov: Povm) -> list[list[float]]:
@@ -423,8 +439,9 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     Back-substitution on the d^2 pivot rows gives the coordinates.
     Refuses, in order: a list of the wrong length, a POVM that is not
     informationally complete, and probabilities no state reproduces: a
-    non-finite one, or a residual over all effects above
-    `RECONSTRUCT_TOL` or overflowing to inf or NaN.
+    non-finite one, a residual over all effects above `RECONSTRUCT_TOL`
+    or overflowing to inf or NaN, and a unique solution that is not a
+    state (its trace off 1, or an eigenvalue below `EIG_FLOOR`).
     """
     if len(probs) != pov.n_outcomes:
         raise ValueError(
@@ -457,4 +474,8 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
         for b in range(a + 1, d):
             z = complex(next(upper), next(upper))
             rho[a][b], rho[b][a] = z, z.conjugate()
-    return DensityOperator(rho)
+    try:
+        return DensityOperator(rho)
+    except ValueError as exc:
+        raise InconsistentProbabilitiesError(
+            f"no state matches the probabilities: {exc}") from None

@@ -6,6 +6,7 @@ report with its own exit code).
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -505,6 +506,50 @@ def test_demo_quantum_huge_entries_print_one_error_line(tmp_path, doc, message):
                   "demo-quantum", str(path))
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == f"dutchbook: error: {message}\n"
+
+
+def _pairs(matrix):
+    return [[x, 0] for row in matrix for x in row]
+
+
+def test_demo_quantum_normalizes_the_decohered_state(capsys, tmp_path):
+    # The one Kraus operator [[a, b], [b, a]] is off trace preserving by
+    # 0.95e-10 per entry of sum K†K - I, within tolerance, but the image of
+    # |+> has trace 1 + 1.9e-10.  The decohered state is normalized like a
+    # posterior, and the report stands.
+    s = math.sqrt(1 + 1.9e-10)
+    a, b = (s + 1) / 2, (s - 1) / 2
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "dim": 2, "rho0": _pairs([[0.5, 0.5], [0.5, 0.5]]),
+        "instrument": [[_pairs([[a, b], [b, a]])]], "povm": [_Z0, _Z1]}))
+    code, out, err = _run(capsys, "demo-quantum", "--format", "structured",
+                          str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["decohered"] == report["post_states"][0]
+    assert report["crosscheck"] == report["direct"] == [0.5, 0.5]
+
+
+def test_demo_quantum_decohered_state_that_is_not_a_state(capsys, tmp_path):
+    # rho0 has eigenvalues -0.9e-10 on |1> and |2>, within the floor; the
+    # instrument moves both onto |1>, where -1.8e-10 is below it.
+    eye = [[int(r == c) for c in range(3)] for r in range(3)]
+
+    def unit(r, c):
+        return _pairs([[int((i, j) == (r, c)) for j in range(3)]
+                       for i in range(3)])
+
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "dim": 3,
+        "rho0": _pairs([[1 + 1.8e-10, 0, 0], [0, -0.9e-10, 0], [0, 0, -0.9e-10]]),
+        "instrument": [[unit(0, 0)], [unit(1, 1), unit(1, 2)]],
+        "povm": [_pairs(eye)]}))
+    code, out, err = _run(capsys, "demo-quantum", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("dutchbook: error: decohered state: density operator must "
+                   "be positive semidefinite\n")
 
 
 def test_demo_quantum_bad_file(capsys):

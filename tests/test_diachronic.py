@@ -2,6 +2,7 @@
 loss, and conditioning."""
 
 import random
+from collections import namedtuple
 from fractions import Fraction as F
 
 import pytest
@@ -193,7 +194,19 @@ _CAP_QS = [F(i, 16385) for i in range(16385)]
      "joint keys must be uniformly (i, e) or (i, e, d)"),
     (_CAP_QS, {(0, True, True): F(1)},
      "outcome space must have 1..65536 atoms, got 65540"),
-], ids=["negative-mass", "sum-5/6", "unknown-key", "mixed-keys", "over-cap"])
+    # Keys are matched by equality, so only the type and the values count.
+    ((F(1, 2),), {("0", True): F(1)},
+     "joint key ('0', True) does not match the model shape"),
+    ((F(1, 2), F(1, 4)), {(2, True): F(1)},
+     "joint key (2, True) does not match the model shape"),
+    ((F(1, 2),), {(0, True, None): F(1)},
+     "joint key (0, True, None) does not match the model shape"),
+    ((F(1, 2),), {"ab": F(1)},
+     "joint key 'ab' does not match the model shape"),
+    ((F(1, 2),), {frozenset({0, True}): F(1)},
+     "joint key frozenset({0, True}) does not match the model shape"),
+], ids=["negative-mass", "sum-5/6", "unknown-key", "mixed-keys", "over-cap",
+        "str-cell", "cell-out-of-range", "none-flag", "str-key", "frozenset"])
 def test_temporal_model_refusal_text(qs, joint, message):
     with pytest.raises(ValueError) as info:
         TemporalModel(qs, joint)
@@ -204,6 +217,54 @@ def test_temporal_model_accepts_the_cell_cap():
     # 16384 values with a base event make exactly MAX_ATOMS cells.
     m = TemporalModel(_CAP_QS[:-1], {(0, True, True): F(1)})
     assert m.has_base and m.value_mass(0) == 1
+
+
+_Key = namedtuple("_Key", "cell e")
+_JOINT = {(0, True): F(1, 6), (0, False): F(1, 3),
+          (1, True): F(1, 4), (1, False): F(1, 4)}
+_BASE_JOINT = {(0, True, True): F(1, 2), (0, False, False): F(1, 2)}
+
+
+def _sums(m):
+    return m._scale, m._mass, m._e_mass, m._d_mass, m._ed_mass
+
+
+def _rekeyed(joint, old, new):
+    return {new if key == old else key: mass for key, mass in joint.items()}
+
+
+@pytest.mark.parametrize("joint, old, new", [
+    (_JOINT, (0, True), (0, 1)),
+    (_JOINT, (1, False), (1.0, False)),
+    (_JOINT, (1, True), (True, True)),
+    (_JOINT, (0, True), _Key(0, True)),
+    (_BASE_JOINT, (0, True, True), (0, True, 1)),
+], ids=["int-flag", "float-cell", "bool-cell", "namedtuple", "int-base-flag"])
+def test_joint_keys_match_by_equality(joint, old, new):
+    # A key equal to a model key names that key's cell and branches.
+    qs = (F(1, 2), F(1, 4))
+    assert _sums(TemporalModel(qs, _rekeyed(joint, old, new))) \
+        == _sums(TemporalModel(qs, joint))
+
+
+def test_joint_sums_per_value_cell():
+    # (scale, mass, E-mass, D-mass, (E and D)-mass), the last two zero
+    # without a base event.
+    m = TemporalModel((F(1, 2), F(1, 4)), {
+        (0, True, True): F(1, 12), (0, True, False): F(1, 6),
+        (0, False, True): F(1, 4), (1, True, True): F(1, 2)})
+    assert _sums(m) == (12, (6, 6), (3, 6), (4, 6), (1, 6))
+    assert _sums(TemporalModel((F(1, 2), F(1, 4)), _JOINT)) \
+        == (12, (6, 6), (2, 3), (0, 0), (0, 0))
+
+
+def test_joint_is_read_in_order():
+    # Keys and masses are checked item by item: the first bad one decides.
+    qs = (F(1, 2),)
+    with pytest.raises(TypeError):
+        TemporalModel(qs, {(0, True): 0.5, (2, True): F(1, 2)})
+    with pytest.raises(ValueError, match="does not match the model shape"):
+        TemporalModel(qs, {(2, True): F(1, 2), (0, True): 0.5})
 
 
 CONDITIONING = {

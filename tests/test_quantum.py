@@ -25,7 +25,7 @@ from dutchbook.quantum import (
     reconstruct_state,
     reflection_prob,
 )
-from dutchbook.quantum import _frame_matrix
+from dutchbook.quantum import _frame_matrix, _trace
 from quantum_fixtures import (
     _PAULI,
     ALG_TOL,
@@ -315,6 +315,20 @@ def test_decohered_state_carries_all_predictions(rng):
             assert np.abs(reflected - direct).max() <= ALG_TOL
 
 
+def test_decohered_state_is_normalized_like_a_posterior():
+    # K = [[a, b], [b, a]], a = (s+1)/2, b = (s-1)/2, s = sqrt(1 + 1.9e-10):
+    # each entry of K†K - I is within STRUCT_TOL, but K scales |+> by s, so
+    # its image has trace 1 + 1.9e-10.  The decohered state is that image
+    # over its trace, as a posterior is.
+    s = np.sqrt(1 + 1.9e-10)
+    ins = Instrument(((np.array([[s + 1, s - 1], [s - 1, s + 1]]) / 2,),))
+    rho = pure_state(PLUS)
+    assert _trace(ins.apply(0, rho.matrix)).real - 1 > STRUCT_TOL
+    rho_dec = decohered_state(ins, rho)
+    assert rho_dec.matrix == post_state(ins, 0, rho).matrix
+    assert np.abs(np.array(rho_dec.matrix) - np.array(rho.matrix)).max() <= 1e-15
+
+
 def test_unitary_instrument_decoheres_to_rotation():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
     ins = Instrument(((hadamard,),))
@@ -468,8 +482,25 @@ def test_reconstruct_rejects_unmatchable_probabilities():
 
 def test_reconstruct_rejects_negative_state():
     # Consistent as linear algebra, but the solution has eigenvalue -1.
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentProbabilitiesError):
         reconstruct_state(tetrahedron_povm(), [1.0, 0.0, 0.0, 0.0])
+
+
+def _pauli_povm():
+    """The six effects (I + sigma)/6 and (I - sigma)/6, sigma = X, Y, Z."""
+    return Povm(tuple((EYE2 + sign * p) / 6 for p in _PAULI for sign in (1, -1)))
+
+
+@pytest.mark.parametrize("pov, probs, message", [
+    (tetrahedron_povm(), [0.3] * 4, "trace must be 1, got 1.2"),
+    # Bloch vector (1, 1, 1): (I + X + Y + Z)/2 has eigenvalue (1 - 3**.5)/2.
+    (_pauli_povm(), [1 / 3, 0.0] * 3, "positive semidefinite"),
+], ids=["trace", "not-psd"])
+def test_reconstruct_refuses_a_unique_solution_that_is_not_a_state(
+        pov, probs, message):
+    with pytest.raises(InconsistentProbabilitiesError,
+                       match=f"^no state matches the probabilities: .*{message}"):
+        reconstruct_state(pov, probs)
 
 
 @pytest.mark.parametrize("probs, message", [

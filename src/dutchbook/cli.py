@@ -130,8 +130,8 @@ def _exact(value: Fraction) -> str:
 def _losses(portfolio: Portfolio) -> dict[str, str]:
     from .synchronic import settle
 
-    return {label: _exact(settle(portfolio, atom))
-            for atom, label in enumerate(portfolio.book.space.atoms)}
+    return {label: _exact(net)
+            for label, net in zip(portfolio.book.space.atoms, settle(portfolio))}
 
 
 def _synchronic_audit(book: PriceBook) -> tuple[int, dict]:

@@ -441,10 +441,11 @@ def reconstruct_state(pov: Povm, probs: Sequence[float]) -> DensityOperator:
     informationally complete, and probabilities no state reproduces: a
     non-finite one, a residual over all effects above `RECONSTRUCT_TOL`
     or overflowing to inf or NaN, and a unique solution that is not a
-    state (its trace off 1, or an eigenvalue below `EIG_FLOOR`).
+    state (its trace off 1, or an eigenvalue below `EIG_FLOOR`).  All but
+    the POVM's refusal raise `InconsistentProbabilitiesError`.
     """
     if len(probs) != pov.n_outcomes:
-        raise ValueError(
+        raise InconsistentProbabilitiesError(
             f"expected {pov.n_outcomes} probabilities, got {len(probs)}")
     d = pov.dim
     n = d * d

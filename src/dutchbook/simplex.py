@@ -15,8 +15,9 @@ rows tie and the rows stay lexicographically positive.  Every price row of
 a book has rhs 0, so phase 1 is highly degenerate, and this rule needs
 several times fewer pivots there than Bland's.
 
-The tableau holds Python ints, not fractions.  Each row is scaled by the
-lcm of its denominators, and the whole tableau shares one positive
+The tableau holds Python ints, not fractions.  Each row is scaled once, by
+the lcm of its denominators; the tableau starts from copies of the scaled
+rows, which both checks read too.  The whole tableau shares one positive
 denominator ``d``, the previous pivot.  A pivot on ``p = T[r][c]`` updates
 every other row as ``(T[i][j]*p - T[i][c]*T[r][j]) // d``: the integer
 (Bareiss / Edmonds) form of Gauss-Jordan elimination, whose entries are
@@ -74,21 +75,18 @@ def solve_equality_feasibility(
     if len(rhs) != m:
         raise ValueError("rhs length does not match row count")
 
-    # Orient every row so its rhs is nonnegative (remembering the flips for
-    # the certificate), then clear its denominators: row i becomes
-    # scale[i] * flip[i] * (A_i | b_i) in ints.  Its artificial column stays
-    # the unit vector, which makes the artificial variable scale[i] times
-    # the unscaled one.
+    # Clear each row's denominators once: scaled[i] is s_i * (A_i | b_i) in
+    # ints, which both checks read.  The tableau copies it, negated where
+    # b_i < 0 (remembered for the certificate), with a unit artificial
+    # column, which makes the artificial variable s_i times the unscaled one.
+    scaled = [_scaled([*row, b]) for row, b in zip(rows, rhs)]
+    scale = [s for s, _ in scaled]
     flip = [-1 if b < 0 else 1 for b in rhs]
-    scale = []
     tab = []
-    for i in range(m):
-        s, row = _scaled([*rows[i], rhs[i]])
-        if flip[i] < 0:
-            row = [-v for v in row]
+    for i, (_, ints) in enumerate(scaled):
+        row = [-v for v in ints] if flip[i] < 0 else ints[:]
         row[n:n] = [0] * m
         row[n + i] = 1
-        scale.append(s)
         tab.append(row)
     width = n + m
     basis = list(range(n, width))
@@ -139,14 +137,14 @@ def solve_equality_feasibility(
         for i, var in enumerate(basis):
             if var < n:
                 solution[var] = Fraction(tab[i][width], denom)
-        _check_solution(rows, rhs, solution)
+        _check_solution(scaled, solution)
         return Feasibility(True, tuple(solution), None)
 
     # Infeasible: the phase-1 dual is read off the artificial columns.  The
     # unscaled reduced cost of artificial i is scale[i] * cost / (top * d).
     y = [flip[i] * (1 - Fraction(scale[i] * cost[n + i], top * denom))
          for i in range(m)]
-    _check_certificate(rows, rhs, y)
+    _check_certificate(scaled, y)
     return Feasibility(False, None, tuple(y))
 
 
@@ -166,12 +164,11 @@ def _pivot(tab, cost, row: int, col: int, denom: int) -> int:
     return p
 
 
-def _check_certificate(rows, rhs, y) -> None:
+def _check_certificate(scaled, y) -> None:
     # Farkas conditions are theorems of the arithmetic; failing them means
     # a bug in the tableau bookkeeping, so fail loudly.  The sums run in
-    # ints: row i is s_i times the caller's row, and k_i = K * y_i / s_i
+    # ints: scaled row i is s_i times the caller's, and k_i = K * y_i / s_i
     # for one positive K, so each sum is K times the rational one.
-    scaled = [_scaled([*row, b]) for row, b in zip(rows, rhs)]
     _, k = _scaled([Fraction(yi, s) for yi, (s, _) in zip(y, scaled)])
     *columns, rhs_column = zip(*(ints for _, ints in scaled))
     if any(sum(map(mul, k, column)) > 0 for column in columns):
@@ -180,17 +177,16 @@ def _check_certificate(rows, rhs, y) -> None:
         raise RuntimeError("invalid Farkas certificate (rhs sign)")
 
 
-def _check_solution(rows, rhs, x) -> None:
+def _check_solution(scaled, x) -> None:
     # Like the Farkas check: a point that misses A x = b, x >= 0 means a
     # tableau bug.  Only the support is summed, so wide books stay cheap.
     # The sums run in ints: the support is scaled by its common
-    # denominator D and each row by the lcm s_i of its denominators on the
-    # support and in b_i, so row i holds iff s_i times it holds times D.
+    # denominator D, and scaled row i, s_i times the caller's row, holds
+    # iff it holds times D.
     support = [j for j, v in enumerate(x) if v]
     if any(x[j] < 0 for j in support):
         raise RuntimeError("invalid solution (negative entry)")
     common, xs = _scaled([x[j] for j in support])
-    for row, b in zip(rows, rhs):
-        _, (*coeffs, scaled_b) = _scaled([*(row[j] for j in support), b])
-        if sum(map(mul, coeffs, xs)) != scaled_b * common:
+    for _, ints in scaled:
+        if sum(ints[j] * v for j, v in zip(support, xs)) != ints[-1] * common:
             raise RuntimeError("invalid solution (row not met)")

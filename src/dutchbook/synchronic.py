@@ -13,12 +13,17 @@ Conventions for tickets (the $1 stake is the unit):
   the $q price if D is false, pays $0 if D true but E false.
 
 Called-off prices enter the feasibility system linearized as
-``p(E and D) - q * p(D) = 0``, never as a ratio.
+``p(E and D) - q * p(D) = 0``, never as a ratio: a ticket's row holds its
+nets on every atom (`_payoffs`).  `settle` sums the same nets, leg by leg,
+into a portfolio's net in every world in one pass, in ints over one
+common denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, NamedTuple
 
 from .beliefs import OutcomeSpace, Rational, _Record, as_fraction
@@ -34,16 +39,13 @@ __all__ = [
     "settle",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class Assessment(_Record):
     """One announced fair price: unconditional, or called off on a condition."""
 
     # `event` and `condition` hold atom indices on the space of the book
     # holding the assessment.
-    __slots__ = ("event", "price", "condition", "_nets")
+    __slots__ = ("event", "price", "condition")
 
     def __init__(self, event: frozenset[int], price: Rational,
                  condition: frozenset[int] | None = None):
@@ -53,14 +55,15 @@ class Assessment(_Record):
         self.event = event
         self.price = price
         self.condition = condition
-        # The buyer's net inside the condition: lost, won.
-        self._nets = (-price, 1 - price)
 
-    def net_buy_payoff(self, atom: int) -> Fraction:
-        """Settlement cash to a buyer of one ticket, price already paid."""
-        if self.condition is not None and atom not in self.condition:
-            return _ZERO  # refund cancels the price
-        return self._nets[atom in self.event]
+
+def _payoffs(a: Assessment, n: int, lost, won) -> list:
+    """One ticket's net to its buyer on each of `n` atoms: `won` on its
+    event, `lost` elsewhere in its condition, 0 off it (the refund)."""
+    nets = [0] * n
+    for atom in range(n) if a.condition is None else a.condition:
+        nets[atom] = won if atom in a.event else lost
+    return nets
 
 
 class PriceBook(_Record):
@@ -132,11 +135,8 @@ def check_coherence(book: PriceBook) -> CoherenceResult:
     if not book.assessments:
         raise ValueError("cannot audit an empty book")
     n = book.space.size
-    rows: list[list[Fraction]] = [[_ONE] * n]
-    rhs: list[Fraction] = [_ONE]
-    for a in book.assessments:
-        rows.append([a.net_buy_payoff(atom) for atom in range(n)])
-        rhs.append(_ZERO)
+    rows = [[1] * n] + [_payoffs(a, n, -a.price, 1 - a.price) for a in book.assessments]
+    rhs = [1] + [0] * len(book.assessments)
     result = solve_equality_feasibility(rows, rhs)
     if result.feasible:
         return CoherenceResult(result.solution, None)
@@ -155,19 +155,19 @@ def _dutch_book(book: PriceBook, quantities: tuple[Fraction, ...]) -> Portfolio:
     """
     unit = Portfolio(book, tuple(
         PortfolioLeg(i, q) for i, q in enumerate(quantities) if q))
-    nets = [settle(unit, atom) for atom in range(book.space.size)]
+    nets = settle(unit)
     # A checked certificate nets at most -y0 < 0 on every atom, so this
     # fails only on a bug.
     if max(nets) >= 0:
         raise RuntimeError("certificate does not yield a sure loss on this book")
-    scale = _ONE / -min(nets)
+    scale = 1 / -min(nets)
     return Portfolio(book, tuple(
         PortfolioLeg(leg.assessment, leg.quantity * scale)
         for leg in unit.legs))
 
 
-def settle(portfolio: Portfolio, atom: int | str) -> Fraction:
-    """Exact net cash to the agent if `atom` is the true world.
+def settle(portfolio: Portfolio) -> tuple[Fraction, ...]:
+    """Exact net cash to the agent in each world, in atom order.
 
     One ledger settles synchronic and diachronic books alike.  A ``t_tau``
     leg is a trade the agent is committed to at the later time, on a
@@ -176,9 +176,12 @@ def settle(portfolio: Portfolio, atom: int | str) -> Fraction:
     times trades at par.  A sell leg's negative quantity negates its net.
     """
     book = portfolio.book
-    if isinstance(atom, str):
-        atom = book.space.index(atom)
-    if not 0 <= atom < book.space.size:
-        raise ValueError(f"atom index {atom} out of range")
-    return sum((leg.quantity * book.assessments[leg.assessment].net_buy_payoff(atom)
-                for leg in portfolio.legs), _ZERO)
+    legs = [(leg.quantity, book.assessments[leg.assessment]) for leg in portfolio.legs]
+    denom = lcm(*(q.denominator * a.price.denominator for q, a in legs))
+    nets = [0] * book.space.size
+    for q, a in legs:
+        p = a.price
+        k = q.numerator * (denom // (q.denominator * p.denominator))
+        won, lost = k * (p.denominator - p.numerator), -k * p.numerator
+        nets = list(map(add, nets, _payoffs(a, len(nets), lost, won)))
+    return tuple(Fraction(v, denom) for v in nets)

@@ -2,8 +2,8 @@
 temporal joints laid out as pmfs to sum them over.
 
 The library reports no event probabilities: its audits read integer sums.
-The tests check witnesses, joints and reference audits against these plain
-`Fraction` sums.
+The tests check witnesses, joints, reference audits and settlements against
+these plain `Fraction` sums.
 """
 
 from dataclasses import dataclass
@@ -20,6 +20,21 @@ def prob(pmf, atoms) -> Fraction:
 def cond_prob(pmf, e, d) -> Fraction:
     """prob(e and d) / prob(d) for atom-index sets; d needs positive mass."""
     return prob(pmf, set(e) & set(d)) / prob(pmf, d)
+
+
+def reference_settle(portfolio) -> tuple[Fraction, ...]:
+    """A portfolio's net in each world, atom by atom: the sum over its legs
+    of q * (1[E] - p) inside the ticket's condition and 0 off it."""
+    book = portfolio.book
+    nets = []
+    for atom in range(book.space.size):
+        net = Fraction(0)
+        for leg in portfolio.legs:
+            a = book.assessments[leg.assessment]
+            if a.condition is None or atom in a.condition:
+                net += leg.quantity * ((atom in a.event) - a.price)
+        nets.append(net)
+    return tuple(nets)
 
 
 @dataclass(frozen=True)

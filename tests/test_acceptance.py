@@ -77,10 +77,11 @@ def test_criterion_01(capsys):
                 e_given_q=(F(7, 10), F(1, 4)),
             )
             portfolio = reflection_check(model).portfolio
-            assert settle(portfolio, "Q&E") == F(-7, 50)
-            assert settle(portfolio, "Q&~E") == F(-7, 50)
-            assert settle(portfolio, "~Q&E") == F(-1, 25)
-            assert settle(portfolio, "~Q&~E") == F(-1, 25)
+            nets = dict(zip(portfolio.book.space.atoms, settle(portfolio)))
+            assert nets["Q&E"] == F(-7, 50)
+            assert nets["Q&~E"] == F(-7, 50)
+            assert nets["~Q&E"] == F(-1, 25)
+            assert nets["~Q&~E"] == F(-1, 25)
 
         assert _best_of(workload) < 1e-3
 
@@ -103,8 +104,9 @@ def test_criterion_02(capsys, seed):
                 e_given_q=(conditional, other),
             )
             portfolio = reflection_check(model).portfolio
+            nets = dict(zip(portfolio.book.space.atoms, settle(portfolio)))
             for branch in portfolio.book.space.atoms:
-                assert settle(portfolio, branch) < 0
+                assert nets[branch] < 0
         assert time.perf_counter() - start < 5.0
 
 
@@ -176,8 +178,9 @@ def _verify_verdict(book):
                 assert (prob(witness, a.event & cond)
                         == a.price * prob(witness, cond))
         return
+    nets = dict(zip(book.space.atoms, settle(result.portfolio)))
     for atom in book.space.atoms:
-        assert settle(result.portfolio, atom) < 0
+        assert nets[atom] < 0
 
 
 def test_criterion_04(capsys, seed):

@@ -26,6 +26,7 @@ from belief_fixtures import (
     labelled_conditionals,
     labelled_joint,
     prob,
+    reference_settle,
 )
 
 WORKED = dict(qs=(F(1, 2), F(1, 4)), masses=(F(2, 5), F(3, 5)),
@@ -50,8 +51,9 @@ def _goldstein_sides(m, ref):
 def _all_branches(portfolio):
     """Settlement keyed by (condition true, E true); atoms run C&E ... ~C&~E."""
     keys = [(c, e) for c in (True, False) for e in (True, False)]
-    return {key: settle(portfolio, atom)
-            for key, atom in zip(keys, portfolio.book.space.atoms)}
+    nets = settle(portfolio)
+    assert nets == reference_settle(portfolio)
+    return dict(zip(keys, nets))
 
 
 def test_reflection_by_construction_has_no_violations():
@@ -152,7 +154,7 @@ def test_book_requires_a_violation_and_positive_mass():
 
 def test_realize_empty_portfolio():
     book = reflection_check(TemporalModel.from_conditionals(**WORKED)).portfolio.book
-    assert settle(Portfolio(book, ()), "Q&~E") == 0
+    assert dict(zip(book.space.atoms, settle(Portfolio(book, ()))))["Q&~E"] == 0
 
 
 def test_timed_leg_validation():

@@ -468,7 +468,8 @@ def test_reconstruct_requires_completeness():
 
 
 def test_reconstruct_rejects_wrong_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentProbabilitiesError,
+                       match="^expected 4 probabilities, got 3$"):
         reconstruct_state(tetrahedron_povm(), [0.25, 0.25, 0.5])
 
 

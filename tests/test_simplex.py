@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dutchbook import simplex
+from dutchbook.beliefs import _scaled
 from dutchbook.simplex import (
     _check_certificate,
     _check_solution,
@@ -18,21 +19,32 @@ from dutchbook.simplex import (
 )
 
 
+def _assert_solves(rows, rhs, x):
+    assert all(v >= 0 for v in x)
+    for row, b in zip(rows, rhs):
+        assert sum(c * v for c, v in zip(row, x)) == b
+
+
+def _assert_farkas(rows, rhs, y):
+    for column in zip(*rows):
+        assert sum(yi * c for yi, c in zip(y, column)) <= 0
+    assert sum(yi * b for yi, b in zip(y, rhs)) > 0
+
+
 def _check(rows, rhs):
     """Solve and verify whichever object comes back, exactly."""
     result = solve_equality_feasibility(rows, rhs)
     if result.feasible:
-        x = result.solution
-        assert all(v >= 0 for v in x)
-        for row, b in zip(rows, rhs):
-            assert sum(c * v for c, v in zip(row, x)) == b
+        _assert_solves(rows, rhs, result.solution)
     else:
-        y = result.certificate
-        n = len(rows[0])
-        for j in range(n):
-            assert sum(y[i] * rows[i][j] for i in range(len(rows))) <= 0
-        assert sum(y[i] * b for i, b in enumerate(rhs)) > 0
+        _assert_farkas(rows, rhs, result.certificate)
     return result
+
+
+def _scaled_rows(rows, rhs):
+    """The solver's form of a system for its checks: each row with its rhs,
+    cleared of denominators."""
+    return [_scaled([*row, b]) for row, b in zip(rows, rhs)]
 
 
 def test_simple_feasible_system():
@@ -43,21 +55,39 @@ def test_simple_feasible_system():
 
 
 def test_solution_check_rejects_a_point_missing_a_row():
-    rows, rhs = [[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)]
-    _check_solution(rows, rhs, (F(1, 2), F(1, 2)))
+    scaled = _scaled_rows([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(0)])
+    _check_solution(scaled, (F(1, 2), F(1, 2)))
     with pytest.raises(RuntimeError, match="row not met"):
-        _check_solution(rows, rhs, (F(1), F(0)))  # meets row 0, misses row 1
+        _check_solution(scaled, (F(1), F(0)))  # meets row 0, misses row 1
     with pytest.raises(RuntimeError, match="negative"):
-        _check_solution(rows, rhs, (F(-1), F(2)))
+        _check_solution(scaled, (F(-1), F(2)))
     # A negative entry is refused even where every row is met.
     with pytest.raises(RuntimeError, match="negative"):
-        _check_solution([[F(1), F(1)]], [F(1)], (F(-1, 7), F(8, 7)))
+        _check_solution(_scaled_rows([[F(1), F(1)]], [F(1)]), (F(-1, 7), F(8, 7)))
     # Rows with unlike denominators: the exact point passes, and one that
     # misses the second row by 1/10**9 fails.
-    rows, rhs = [[F(1, 3), F(0)], [F(1, 6), F(2, 7)]], [F(1, 9), F(1, 7)]
-    _check_solution(rows, rhs, (F(1, 3), F(11, 36)))
+    scaled = _scaled_rows([[F(1, 3), F(0)], [F(1, 6), F(2, 7)]], [F(1, 9), F(1, 7)])
+    _check_solution(scaled, (F(1, 3), F(11, 36)))
     with pytest.raises(RuntimeError, match="row not met"):
-        _check_solution(rows, rhs, (F(1, 3), F(11, 36) + F(7, 2 * 10**9)))
+        _check_solution(scaled, (F(1, 3), F(11, 36) + F(7, 2 * 10**9)))
+
+
+def test_certificate_check_rejects_a_bad_certificate():
+    # The second row is half the first on the left but not on the right,
+    # so y = (-1, 2) proves the system infeasible: y.A = 0, y.b = 1.
+    rows, rhs = [[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]], [F(1), F(1)]
+    scaled = _scaled_rows(rows, rhs)
+    y = _check(rows, rhs).certificate
+    _check_certificate(scaled, y)
+    _check_certificate(scaled, (F(-1), F(2)))
+    # One multiplier's sign flipped: y.A_j > 0 on every column.
+    with pytest.raises(RuntimeError,
+                       match=r"^invalid Farkas certificate \(column positivity\)$"):
+        _check_certificate(scaled, (F(1), F(2)))
+    # y.A = 0 but y.b = -1.
+    with pytest.raises(RuntimeError,
+                       match=r"^invalid Farkas certificate \(rhs sign\)$"):
+        _check_certificate(scaled, (F(1), F(-2)))
 
 
 def test_simple_infeasible_system():
@@ -198,11 +228,11 @@ def _reference_solve(rows, rhs, rule):
         for i, var in enumerate(basis):
             if var < n:
                 solution[var] = tab[i][width]
-        _check_solution(rows, rhs, solution)
+        _assert_solves(rows, rhs, solution)
         return True, tuple(solution), None
 
     y = [flip[i] * (_ONE - cost[n + i]) for i in range(m)]
-    _check_certificate(rows, rhs, y)
+    _assert_farkas(rows, rhs, y)
     return False, None, tuple(y)
 
 

@@ -17,7 +17,7 @@ from dutchbook.synchronic import (
     check_coherence,
     settle,
 )
-from belief_fixtures import cond_prob, prob
+from belief_fixtures import cond_prob, prob, reference_settle
 
 
 def _book(space, *specs):
@@ -37,7 +37,8 @@ def _book(space, *specs):
 
 def _verify_sure_loss(book, portfolio):
     assert portfolio.book == book
-    amounts = [settle(portfolio, atom) for atom in range(book.space.size)]
+    amounts = settle(portfolio)
+    assert amounts == reference_settle(portfolio)
     assert max(amounts) < 0
     assert min(amounts) == -1  # scaled so the worst atom loses exactly $1
     return amounts
@@ -73,7 +74,7 @@ def test_complementary_overpricing_is_incoherent():
     # Buying both unit tickets costs 1.2 against a certain $1 payout, a
     # net of -$0.2 on every atom; scaled so the worst atom loses exactly
     # $1, that is five of each.
-    assert amounts == [F(-1), F(-1)]
+    assert amounts == (F(-1), F(-1))
     assert [leg.quantity for leg in portfolio.legs] == [5, 5]
 
 
@@ -123,18 +124,14 @@ def test_called_off_price_constrains_only_inside_condition():
 def test_settle_basics():
     space = OutcomeSpace(["e", "not_e"])
     book = _book(space, (["e"], "3/5"))
-    assert settle(Portfolio(book, ()), 0) == 0
+    assert settle(Portfolio(book, ())) == (0, 0)
     result = check_coherence(book)
     assert result.coherent
 
     bought = Portfolio(book, (PortfolioLeg(0, F(1)),))
-    assert settle(bought, "e") == F(2, 5)
-    assert settle(bought, "not_e") == F(-3, 5)
+    assert dict(zip(space.atoms, settle(bought))) == {"e": F(2, 5), "not_e": F(-3, 5)}
     sold = Portfolio(book, (PortfolioLeg(0, "-3/2"),))
-    assert settle(sold, "e") == F(-3, 5)
-    assert settle(sold, "not_e") == F(9, 10)
-    with pytest.raises(ValueError):
-        settle(bought, 9)
+    assert dict(zip(space.atoms, settle(sold))) == {"e": F(-3, 5), "not_e": F(9, 10)}
     with pytest.raises(ValueError):  # the book has no assessment 1
         Portfolio(book, (PortfolioLeg(1, F(1)),))
 
@@ -223,6 +220,31 @@ def test_exactly_one_of_witness_or_sure_loss(book):
                 assert prob(w, a.event & cond) == a.price * prob(w, cond)
     else:
         _verify_sure_loss(book, result.portfolio)
+
+
+_quantity = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool)
+
+
+@st.composite
+def _random_portfolio(draw):
+    """Legs of any sign on a random book, a ticket traded any number of
+    times; a called-off ticket's legs trade at t0 or t_tau."""
+    book = draw(_random_book())
+    legs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        i = draw(st.integers(min_value=0, max_value=len(book.assessments) - 1))
+        called_off = book.assessments[i].condition is not None
+        time = draw(st.sampled_from(("t0", "t_tau"))) if called_off else "t0"
+        legs.append(PortfolioLeg(i, draw(_quantity), time))
+    return Portfolio(book, legs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_portfolio())
+def test_settle_matches_reference(portfolio):
+    nets = settle(portfolio)
+    assert nets == reference_settle(portfolio)
+    assert all(type(v) is F for v in nets)
 
 
 @settings(max_examples=80, deadline=None)
